@@ -32,7 +32,7 @@ use edison_simfault::{Fault, FaultKind, FaultPlan, RecoveryWindow};
 use edison_simguard::metrics as guard_metrics;
 use edison_simguard::{BreakerState, BreakerVerdict, CircuitBreaker, GuardConfig};
 use edison_simrun::{derive_seed, SimError};
-use edison_simtel::{labels, record_engine_profile, EventCounter, Telemetry};
+use edison_simtel::{record_engine_profile, EventCounter, Telemetry};
 use std::collections::VecDeque;
 
 const MIB: u64 = 1024 * 1024;
@@ -675,7 +675,7 @@ impl MrWorld {
         }
         for lost in self.liveness.sweep(now) {
             self.nodes_lost += 1;
-            self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, labels(&[("tier", "mapreduce")]));
+            self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, &[("tier", "mapreduce")]);
             if !self.brk.is_empty() && self.brk[lost].record_failure(now) {
                 self.guard_breaker_trips += 1;
                 self.note_brk_transition(lost);
@@ -818,7 +818,7 @@ impl MrWorld {
             t.probe = probe;
             let kind = if t.is_map { "map" } else { "reduce" };
             self.set_phase(task, Phase::Launching, now);
-            self.tel.counter_inc("mr_containers_granted_total", labels(&[("kind", kind)]));
+            self.tel.counter_inc("mr_containers_granted_total", &[("kind", kind)]);
             let id = self.job_id(task);
             self.add_cpu(node, id, self.profile.container_startup_mi, now, ctx);
         }
@@ -870,7 +870,7 @@ impl MrWorld {
                     probe: false,
                 });
                 self.speculative_copies += 1;
-                self.tel.counter_inc("mr_speculative_copies_total", labels(&[]));
+                self.tel.counter_inc("mr_speculative_copies_total", &[]);
             }
         }
     }
@@ -886,7 +886,7 @@ impl MrWorld {
         };
         self.tel.counter_inc(
             guard_metrics::BREAKER_TRANSITIONS_TOTAL,
-            labels(&[("tier", "mapreduce"), ("to", to)]),
+            &[("tier", "mapreduce"), ("to", to)],
         );
     }
 
@@ -919,7 +919,7 @@ impl MrWorld {
             self.guard_deadline_miss += 1;
             self.tel.counter_inc(
                 guard_metrics::DEADLINE_MISS_TOTAL,
-                labels(&[("tier", "mapreduce")]),
+                &[("tier", "mapreduce")],
             );
         }
     }
@@ -1037,7 +1037,7 @@ impl MrWorld {
         }
         self.tel.counter_inc(
             "mr_maps_completed_total",
-            labels(&[("local", if local { "true" } else { "false" })]),
+            &[("local", if local { "true" } else { "false" })],
         );
         // notify shuffling reducers still missing this partition (they
         // fetch from the winner's node)
@@ -1223,7 +1223,7 @@ impl MrWorld {
         self.guard_deadline_check(task, now);
         self.running_reduce_mem = self.running_reduce_mem.saturating_sub(self.profile.reduce_container);
         self.completed_reduces += 1;
-        self.tel.counter_inc("mr_reduces_completed_total", labels(&[]));
+        self.tel.counter_inc("mr_reduces_completed_total", &[]);
         if self.completed_reduces == self.profile.reduce_tasks as usize {
             self.finish = Some(now);
         }
@@ -1305,7 +1305,7 @@ impl MrWorld {
         } else {
             fault_metrics::FAULT_SKIPPED_TOTAL
         };
-        self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "mapreduce")]));
+        self.tel.counter_inc(name, &[("kind", kind.name()), ("tier", "mapreduce")]);
     }
 
     /// Kill worker `node`: its containers and disk/CPU work die instantly;
@@ -1459,7 +1459,7 @@ impl MrWorld {
             self.tasks[t].node = usize::MAX;
             self.task_reexecs += 1;
             let kind = if is_map { "map" } else { "reduce" };
-            self.tel.counter_inc(fault_metrics::TASK_REEXEC_TOTAL, labels(&[("kind", kind)]));
+            self.tel.counter_inc(fault_metrics::TASK_REEXEC_TOTAL, &[("kind", kind)]);
         }
         // 2. completed maps whose output lived on the node: re-execute the
         //    origin if any reducer still needs its partition
@@ -1486,7 +1486,7 @@ impl MrWorld {
                 self.tasks[origin].node = usize::MAX;
                 self.task_reexecs += 1;
                 self.tel
-                    .counter_inc(fault_metrics::TASK_REEXEC_TOTAL, labels(&[("kind", "map_output")]));
+                    .counter_inc(fault_metrics::TASK_REEXEC_TOTAL, &[("kind", "map_output")]);
             }
             // else: a speculative loser of this map is still running
             // elsewhere — with logical_done cleared it now wins
@@ -1519,10 +1519,10 @@ impl MrWorld {
             self.cpu_rise = Some(now);
         }
         if self.tel.is_on() {
-            self.tel.series_push("mr_map_progress_pct", labels(&[]), now, self.completed_maps as f64 / self.n_maps as f64 * 100.0);
+            self.tel.series_push("mr_map_progress_pct", &[], now, self.completed_maps as f64 / self.n_maps as f64 * 100.0);
             self.tel.series_push(
                 "mr_reduce_progress_pct",
-                labels(&[]),
+                &[],
                 now,
                 self.completed_reduces as f64 / self.profile.reduce_tasks as f64 * 100.0,
             );
@@ -1541,7 +1541,7 @@ impl MrWorld {
             let steps = self.nodes.node(NodeId(i)).power_trace().to_vec();
             let name = format!("slave-{i}");
             for (t, w) in steps {
-                self.tel.series_push("node_power_watts", labels(&[("node", &name)]), t, w);
+                self.tel.series_push("node_power_watts", &[("node", &name)], t, w);
             }
         }
     }
@@ -1606,7 +1606,7 @@ impl Model for MrWorld {
                             self.recovery_s.push(rec);
                             self.tel.observe(
                                 fault_metrics::RECOVERY_SECONDS,
-                                labels(&[("tier", "mapreduce")]),
+                                &[("tier", "mapreduce")],
                                 fault_metrics::RECOVERY_BOUNDS_S,
                                 rec,
                             );

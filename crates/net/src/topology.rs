@@ -12,7 +12,7 @@
 
 use crate::network::{LinkId, Network};
 use edison_simcore::time::SimDuration;
-use std::collections::HashMap;
+use std::ops::Deref;
 
 /// Index of a switch group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,18 +29,46 @@ struct Host {
     down: LinkId,
 }
 
+/// The links a transfer crosses: at most three (src-up, uplink, dst-down),
+/// held inline so looking a path up allocates nothing. Derefs to
+/// `[LinkId]`; call `.to_vec()` to hand it to
+/// [`Network::start_flow`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Path {
+    links: [LinkId; 3],
+    len: u8,
+}
+
+impl Path {
+    const EMPTY: Path = Path { links: [LinkId(0); 3], len: 0 };
+
+    fn two(a: LinkId, b: LinkId) -> Path {
+        Path { links: [a, b, LinkId(0)], len: 2 }
+    }
+
+    fn three(a: LinkId, b: LinkId, c: LinkId) -> Path {
+        Path { links: [a, b, c], len: 3 }
+    }
+}
+
+impl Deref for Path {
+    type Target = [LinkId];
+
+    fn deref(&self) -> &[LinkId] {
+        &self.links[..usize::from(self.len)]
+    }
+}
+
 /// A grouped-star topology with per-pair latencies. See module docs.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     net: Network,
     hosts: Vec<Host>,
-    /// One-way latency within a group.
-    // simlint: allow(R1) keyed lookup only; never iterated
-    intra_latency: HashMap<GroupId, SimDuration>,
-    /// Uplink (directed, one per direction) and one-way latency per pair.
-    // simlint: allow(R1) keyed lookup only; never iterated
-    interconnect: HashMap<(GroupId, GroupId), (LinkId, SimDuration)>,
-    groups: usize,
+    /// One-way latency within each group, indexed by [`GroupId`].
+    intra_latency: Vec<SimDuration>,
+    /// Directed uplink and one-way latency per ordered group pair, a
+    /// row-major `groups × groups` table (`None`: not connected).
+    interconnect: Vec<Option<(LinkId, SimDuration)>>,
 }
 
 impl Topology {
@@ -49,18 +77,27 @@ impl Topology {
         Self::default()
     }
 
+    fn groups(&self) -> usize {
+        self.intra_latency.len()
+    }
+
     /// Add a switch group whose hosts see `one_way_latency` to each other.
     pub fn add_group(&mut self, one_way_latency: SimDuration) -> GroupId {
-        let g = GroupId(self.groups);
-        self.groups += 1;
-        self.intra_latency.insert(g, one_way_latency);
-        g
+        let n = self.groups();
+        // re-lay the n × n interconnect table out as (n+1) × (n+1)
+        let mut grown = vec![None; (n + 1) * (n + 1)];
+        for a in 0..n {
+            grown[a * (n + 1)..a * (n + 1) + n].copy_from_slice(&self.interconnect[a * n..(a + 1) * n]);
+        }
+        self.interconnect = grown;
+        self.intra_latency.push(one_way_latency);
+        GroupId(n)
     }
 
     /// Add a host to `group` with the given NIC line rate (bits/s) and
     /// goodput efficiency.
     pub fn add_host(&mut self, group: GroupId, nic_bps: f64, efficiency: f64) -> HostId {
-        assert!(group.0 < self.groups, "unknown group");
+        assert!(group.0 < self.groups(), "unknown group");
         let up = self.net.add_link_bps(nic_bps, efficiency);
         let down = self.net.add_link_bps(nic_bps, efficiency);
         self.hosts.push(Host { group, up, down });
@@ -79,37 +116,54 @@ impl Topology {
     ) {
         let ab = self.net.add_link_bps(capacity_bps, efficiency);
         let ba = self.net.add_link_bps(capacity_bps, efficiency);
-        self.interconnect.insert((a, b), (ab, one_way_latency));
-        self.interconnect.insert((b, a), (ba, one_way_latency));
+        let n = self.groups();
+        self.interconnect[a.0 * n + b.0] = Some((ab, one_way_latency));
+        self.interconnect[b.0 * n + a.0] = Some((ba, one_way_latency));
+    }
+
+    /// The directed uplink and one-way latency from group `a` to group `b`.
+    ///
+    /// Panics if the groups are not connected.
+    fn uplink_between(&self, a: GroupId, b: GroupId) -> (LinkId, SimDuration) {
+        self.interconnect[a.0 * self.groups() + b.0]
+            .unwrap_or_else(|| panic!("groups {a:?} and {b:?} not connected"))
     }
 
     /// The link path and one-way latency from `src` to `dst`.
     ///
     /// Same group: src-up → dst-down (non-blocking switch). Different
     /// groups: src-up → uplink → dst-down. Loopback (src == dst): empty
-    /// path, zero latency (the kernel's loopback never hits the NIC).
+    /// path, zero latency (the kernel's loopback never hits the NIC). The
+    /// path is an inline [`Path`] and the lookup is two table indexings,
+    /// so per-request path lookups neither allocate nor hash.
     ///
     /// Panics if the groups are not connected.
-    pub fn path(&self, src: HostId, dst: HostId) -> (Vec<LinkId>, SimDuration) {
+    pub fn path(&self, src: HostId, dst: HostId) -> (Path, SimDuration) {
         if src == dst {
-            return (vec![], SimDuration::ZERO);
+            return (Path::EMPTY, SimDuration::ZERO);
         }
         let s = &self.hosts[src.0];
         let d = &self.hosts[dst.0];
         if s.group == d.group {
-            (vec![s.up, d.down], self.intra_latency[&s.group])
+            (Path::two(s.up, d.down), self.intra_latency[s.group.0])
         } else {
-            let (uplink, lat) = *self
-                .interconnect
-                .get(&(s.group, d.group))
-                .unwrap_or_else(|| panic!("groups {:?} and {:?} not connected", s.group, d.group));
-            (vec![s.up, uplink, d.down], lat)
+            let (uplink, lat) = self.uplink_between(s.group, d.group);
+            (Path::three(s.up, uplink, d.down), lat)
         }
     }
 
-    /// One-way latency between two hosts.
+    /// One-way latency between two hosts (same answer as
+    /// [`path`](Self::path), without building the path).
     pub fn latency(&self, src: HostId, dst: HostId) -> SimDuration {
-        self.path(src, dst).1
+        if src == dst {
+            return SimDuration::ZERO;
+        }
+        let (sg, dg) = (self.hosts[src.0].group, self.hosts[dst.0].group);
+        if sg == dg {
+            self.intra_latency[sg.0]
+        } else {
+            self.uplink_between(sg, dg).1
+        }
     }
 
     /// Round-trip latency between two hosts (the paper reports pings).
@@ -232,7 +286,7 @@ mod tests {
         let b = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
         let (path, _) = rooms.topo.path(a, b);
         let t0 = SimTime::ZERO;
-        rooms.topo.network_mut().start_flow(t0, 1, 1e9, path, f64::INFINITY);
+        rooms.topo.network_mut().start_flow(t0, 1, 1e9, path.to_vec(), f64::INFINITY);
         let (_, at) = rooms.topo.network_mut().next_completion(t0).unwrap();
         // 1 GB at 93.9 Mbit/s ≈ 85 s — matches the iperf result shape
         assert!((at.as_secs_f64() - 85.2).abs() < 0.2);
@@ -247,7 +301,7 @@ mod tests {
         for i in 0..24 {
             let e = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
             let c = rooms.topo.add_host(rooms.dell_room, 1e9, 0.942);
-            flows.push((i as u64, rooms.topo.path(e, c).0));
+            flows.push((i as u64, rooms.topo.path(e, c).0.to_vec()));
         }
         let t0 = SimTime::ZERO;
         for (id, path) in flows {
@@ -256,6 +310,45 @@ mod tests {
         let rate = rooms.topo.network().flow_rate(0);
         let uplink_share = 1e9 * 0.942 / 8.0 / 24.0;
         assert!((rate - uplink_share).abs() / uplink_share < 1e-6, "rate {rate}");
+    }
+
+    #[test]
+    fn adding_groups_after_connecting_keeps_uplinks() {
+        // the groups × groups table is re-laid-out as it grows: existing
+        // pairs must keep their uplink and latency
+        let mut rooms = TwoRooms::new();
+        let e = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
+        let d = rooms.topo.add_host(rooms.dell_room, 1e9, 0.942);
+        let before = rooms.topo.path(e, d);
+        let back = rooms.topo.path(d, e);
+        let g3 = rooms.topo.add_group(SimDuration::from_micros(90));
+        let g4 = rooms.topo.add_group(SimDuration::from_micros(70));
+        assert_eq!(rooms.topo.path(e, d), before);
+        assert_eq!(rooms.topo.path(d, e), back);
+        assert_eq!(rooms.topo.latency(e, d), SimDuration::from_micros(400));
+        rooms.topo.connect_groups(g4, rooms.edison_room, 1e9, 1.0, SimDuration::from_micros(300));
+        let x = rooms.topo.add_host(g4, 1e9, 1.0);
+        let y = rooms.topo.add_host(g3, 1e9, 1.0);
+        let z = rooms.topo.add_host(g3, 1e9, 1.0);
+        assert_eq!(rooms.topo.latency(x, e), SimDuration::from_micros(300));
+        assert_eq!(rooms.topo.path(x, e).0.len(), 3);
+        assert_eq!(rooms.topo.path(e, d), before);
+        assert_eq!(rooms.topo.latency(y, z), SimDuration::from_micros(90));
+    }
+
+    #[test]
+    fn latency_matches_path() {
+        let mut rooms = TwoRooms::new();
+        let hosts = [
+            rooms.topo.add_host(rooms.edison_room, 100e6, 0.939),
+            rooms.topo.add_host(rooms.edison_room, 100e6, 0.939),
+            rooms.topo.add_host(rooms.dell_room, 1e9, 0.942),
+        ];
+        for &a in &hosts {
+            for &b in &hosts {
+                assert_eq!(rooms.topo.latency(a, b), rooms.topo.path(a, b).1);
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! The kernel's heap never needs random deletion.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Absolute tolerance under which remaining work counts as finished.
 ///
@@ -46,10 +45,11 @@ pub type TaskId = u64;
 pub struct FluidResource {
     capacity: f64,
     per_task_cap: f64,
-    /// Remaining work units per task, ordered by id: progress and
-    /// `work_done` float-accumulation visit tasks in the same order on
-    /// every run (a `HashMap` here was hasher-order nondeterministic).
-    tasks: BTreeMap<TaskId, f64>,
+    /// `(id, remaining work units)` per task, kept sorted by id: progress
+    /// and `work_done` float-accumulation visit tasks in id order on every
+    /// run (a `HashMap` here was hasher-order nondeterministic), and the
+    /// walk is over one contiguous array.
+    tasks: Vec<(TaskId, f64)>,
     last_update: SimTime,
     epoch: u64,
     /// Total work completed over the lifetime of the resource.
@@ -69,7 +69,7 @@ impl FluidResource {
         FluidResource {
             capacity,
             per_task_cap,
-            tasks: BTreeMap::new(),
+            tasks: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
             work_done: 0.0,
@@ -133,7 +133,7 @@ impl FluidResource {
             let rate = self.rate_per_task();
             if rate > 0.0 {
                 let mut done = 0.0;
-                for rem in self.tasks.values_mut() {
+                for (_, rem) in &mut self.tasks {
                     let step = rate * dt;
                     let used = step.min(*rem);
                     *rem -= used;
@@ -153,8 +153,9 @@ impl FluidResource {
     pub fn add(&mut self, now: SimTime, id: TaskId, work: f64) {
         assert!(work.is_finite() && work > 0.0, "invalid work amount {work}");
         self.advance(now);
-        let prev = self.tasks.insert(id, work);
-        assert!(prev.is_none(), "duplicate fluid task id {id}");
+        let at = self.tasks.partition_point(|&(t, _)| t < id);
+        assert!(self.tasks.get(at).is_none_or(|&(t, _)| t != id), "duplicate fluid task id {id}");
+        self.tasks.insert(at, (id, work));
         self.epoch += 1;
     }
 
@@ -162,7 +163,7 @@ impl FluidResource {
     /// Returns its remaining work, or `None` if unknown.
     pub fn cancel(&mut self, now: SimTime, id: TaskId) -> Option<f64> {
         self.advance(now);
-        let rem = self.tasks.remove(&id);
+        let rem = self.slot(id).map(|i| self.tasks.remove(i).1);
         if rem.is_some() {
             self.epoch += 1;
         }
@@ -179,10 +180,10 @@ impl FluidResource {
         if rate <= 0.0 {
             return None;
         }
-        let (&id, &rem) = self
+        let &(id, rem) = self
             .tasks
             .iter()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))?;
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))?;
         let dt = (rem / rate).max(0.0);
         // Round the completion instant *up* (plus 1 ns of slack) so that
         // advancing to it always clears the task's remaining work; rounding
@@ -200,16 +201,15 @@ impl FluidResource {
     /// anything was removed. Returned ids are sorted for determinism.
     pub fn take_finished(&mut self, now: SimTime) -> Vec<TaskId> {
         self.advance(now);
-        let mut done: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .filter(|&(_, &rem)| rem <= WORK_EPS)
-            .map(|(&id, _)| id)
-            .collect();
-        done.sort_unstable();
-        for id in &done {
-            self.tasks.remove(id);
-        }
+        let mut done = Vec::new();
+        // `tasks` is id-sorted, so `done` comes out sorted
+        self.tasks.retain(|&(id, rem)| {
+            let finished = rem <= WORK_EPS;
+            if finished {
+                done.push(id);
+            }
+            !finished
+        });
         if !done.is_empty() {
             self.epoch += 1;
         }
@@ -218,7 +218,12 @@ impl FluidResource {
 
     /// Remaining work of a task, if in flight (advances nothing).
     pub fn remaining(&self, id: TaskId) -> Option<f64> {
-        self.tasks.get(&id).copied()
+        self.slot(id).map(|i| self.tasks[i].1)
+    }
+
+    /// Index of task `id` in `tasks`, if in flight.
+    fn slot(&self, id: TaskId) -> Option<usize> {
+        self.tasks.binary_search_by_key(&id, |&(t, _)| t).ok()
     }
 }
 

@@ -20,6 +20,8 @@
 //! * [`energy::StepIntegrator`] — exact integration of piecewise-constant
 //!   power draw into joules, the paper's headline metric.
 //! * [`rng`] — seeded deterministic random number helpers.
+//! * [`FxBuildHasher`] — an unkeyed one-multiply hasher for keyed-only maps
+//!   on per-event paths.
 //!
 //! The kernel has no knowledge of servers, networks or workloads; those live
 //! in the `edison-hw`, `edison-cluster`, `edison-net`, `edison-web` and
@@ -28,6 +30,7 @@
 pub mod energy;
 pub mod engine;
 pub mod fluid;
+pub mod hash;
 pub mod profile;
 pub mod queue;
 pub mod rng;
@@ -36,6 +39,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Ctx, Model, NoopObserver, Observer, Simulation};
+pub use hash::FxBuildHasher;
 pub use sched::SchedBuf;
 pub use profile::{EngineProfile, KindProfiler, KindStats, NoopProfiler, Profiler};
 pub use time::{SimDuration, SimTime};

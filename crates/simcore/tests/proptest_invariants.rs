@@ -1,11 +1,12 @@
 //! Property tests of the kernel's foundational invariants.
 
 use edison_simcore::energy::StepIntegrator;
-use edison_simcore::fluid::FluidResource;
+use edison_simcore::fluid::{FluidResource, TaskId};
 use edison_simcore::queue::FcfsQueue;
 use edison_simcore::time::{SimDuration, SimTime};
 use edison_simcore::{Ctx, Model, Simulation};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// World that records delivery order for the ordering property.
 struct OrderCheck {
@@ -19,6 +20,171 @@ impl Model for OrderCheck {
         assert!(now >= self.last, "time went backwards");
         self.last = now;
         self.delivered.push(ev);
+    }
+}
+
+/// The `BTreeMap`-backed `FluidResource` as it was before tasks moved to
+/// an id-sorted `Vec`, kept verbatim (minus the docs) as the bit-identity
+/// reference for `fluid_matches_btreemap_reference`.
+struct RefFluid {
+    capacity: f64,
+    per_task_cap: f64,
+    tasks: BTreeMap<TaskId, f64>,
+    last_update: SimTime,
+    epoch: u64,
+    work_done: f64,
+    busy_integral: f64,
+}
+
+impl RefFluid {
+    const WORK_EPS: f64 = 1e-3;
+
+    fn new(capacity: f64, per_task_cap: f64) -> Self {
+        RefFluid {
+            capacity,
+            per_task_cap,
+            tasks: BTreeMap::new(),
+            last_update: SimTime::ZERO,
+            epoch: 0,
+            work_done: 0.0,
+            busy_integral: 0.0,
+        }
+    }
+
+    fn rate_per_task(&self) -> f64 {
+        let n = self.tasks.len();
+        if n == 0 {
+            0.0
+        } else {
+            self.per_task_cap.min(self.capacity / n as f64)
+        }
+    }
+
+    fn utilization(&self) -> f64 {
+        (self.rate_per_task() * self.tasks.len() as f64 / self.capacity).min(1.0)
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        let dt = now.saturating_since(self.last_update).as_secs_f64();
+        if dt > 0.0 {
+            let rate = self.rate_per_task();
+            if rate > 0.0 {
+                let mut done = 0.0;
+                for rem in self.tasks.values_mut() {
+                    let step = rate * dt;
+                    let used = step.min(*rem);
+                    *rem -= used;
+                    done += used;
+                }
+                self.work_done += done;
+                self.busy_integral += self.utilization() * dt;
+            }
+        }
+        self.last_update = now;
+    }
+
+    fn add(&mut self, now: SimTime, id: TaskId, work: f64) {
+        self.advance(now);
+        assert!(self.tasks.insert(id, work).is_none());
+        self.epoch += 1;
+    }
+
+    fn cancel(&mut self, now: SimTime, id: TaskId) -> Option<f64> {
+        self.advance(now);
+        let rem = self.tasks.remove(&id);
+        if rem.is_some() {
+            self.epoch += 1;
+        }
+        rem
+    }
+
+    fn next_completion(&self, now: SimTime) -> Option<(TaskId, SimTime)> {
+        let rate = self.rate_per_task();
+        if rate <= 0.0 {
+            return None;
+        }
+        let (&id, &rem) = self.tasks.iter().min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))?;
+        let dt = (rem / rate).max(0.0);
+        let dt_nanos = (dt * 1e9).ceil() as u64 + 1;
+        Some((id, now + SimDuration(dt_nanos)))
+    }
+
+    fn take_finished(&mut self, now: SimTime) -> Vec<TaskId> {
+        self.advance(now);
+        let mut done: Vec<TaskId> =
+            self.tasks.iter().filter(|&(_, &rem)| rem <= Self::WORK_EPS).map(|(&id, _)| id).collect();
+        done.sort_unstable();
+        for id in &done {
+            self.tasks.remove(id);
+        }
+        if !done.is_empty() {
+            self.epoch += 1;
+        }
+        done
+    }
+}
+
+/// Task ids the fluid bit-identity property draws from.
+const FLUID_IDS: u64 = 48;
+
+proptest! {
+    // cheap cases (pure arithmetic): buy more of them than the default
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The id-sorted `Vec` FluidResource is bit-identical to the
+    /// `BTreeMap` one it replaced: same completion instants and ids, same
+    /// remaining work per task, same `work_done` and `busy_seconds` bits,
+    /// same epochs, under random add / cancel / advance / take_finished
+    /// sequences with out-of-order ids.
+    #[test]
+    fn fluid_matches_btreemap_reference(
+        capacity in 1.0f64..1000.0,
+        cap_frac in 0.05f64..1.0,
+        ops in proptest::collection::vec((0u8..4, 0u64..FLUID_IDS, 0.5f64..400.0, 0u64..20_000), 1..300),
+    ) {
+        let per_task = (capacity * cap_frac).max(0.001);
+        let mut got = FluidResource::new(capacity, per_task);
+        let mut want = RefFluid::new(capacity, per_task);
+        let mut now = SimTime::ZERO;
+        for &(op, id, work, gap_us) in &ops {
+            now = now + SimDuration::from_micros(gap_us);
+            match op {
+                0 => {
+                    if !want.tasks.contains_key(&id) {
+                        got.add(now, id, work);
+                        want.add(now, id, work);
+                    }
+                }
+                1 => {
+                    let (g, w) = (got.cancel(now, id), want.cancel(now, id));
+                    prop_assert_eq!(g.map(f64::to_bits), w.map(f64::to_bits));
+                }
+                2 => {
+                    got.advance(now);
+                    want.advance(now);
+                }
+                _ => {
+                    // jump to the next completion, as a model's handler does
+                    let next = got.next_completion(now);
+                    prop_assert_eq!(next, want.next_completion(now));
+                    if let Some((_, at)) = next {
+                        now = at;
+                    }
+                    prop_assert_eq!(got.take_finished(now), want.take_finished(now));
+                }
+            }
+            prop_assert_eq!(got.len(), want.tasks.len());
+            prop_assert_eq!(got.epoch(), want.epoch);
+            prop_assert_eq!(got.work_done().to_bits(), want.work_done.to_bits());
+            prop_assert_eq!(got.busy_seconds().to_bits(), want.busy_integral.to_bits());
+            prop_assert_eq!(got.next_completion(now), want.next_completion(now));
+            for t in 0..FLUID_IDS {
+                prop_assert_eq!(
+                    got.remaining(t).map(f64::to_bits),
+                    want.tasks.get(&t).copied().map(f64::to_bits)
+                );
+            }
+        }
     }
 }
 

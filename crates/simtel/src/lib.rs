@@ -17,7 +17,10 @@
 //!   `{}`. Two same-seed runs therefore serialize to *byte-identical*
 //!   output — enforced by golden tests in the workspace root.
 //! * **Static metric names.** Metric and label *names* are `&'static str`;
-//!   only label *values* are owned strings. Naming follows the Prometheus
+//!   only label *values* are owned strings. Recording calls take label
+//!   pairs as a borrowed `&[(name, value)]` slice and build the owned
+//!   [`Labels`] only when the sink is on, so a disabled sink allocates
+//!   nothing per call. Naming follows the Prometheus
 //!   conventions: `<subsystem>_<noun>_<unit>` with `_total` for counters,
 //!   e.g. `web_requests_total`, `web_request_delay_seconds`,
 //!   `node_power_watts`, `sim_events_total`.
@@ -123,37 +126,43 @@ impl Telemetry {
     }
 
     /// Add `delta` to the counter `name{labels}`.
-    pub fn counter_add(&mut self, name: &'static str, labels: Labels, delta: u64) {
+    pub fn counter_add(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
         if self.enabled {
-            self.registry.counter_add(name, labels, delta);
+            self.registry.counter_add(name, metrics::labels(labels), delta);
         }
     }
 
     /// Increment the counter `name{labels}` by one.
-    pub fn counter_inc(&mut self, name: &'static str, labels: Labels) {
+    pub fn counter_inc(&mut self, name: &'static str, labels: &[(&'static str, &str)]) {
         self.counter_add(name, labels, 1);
     }
 
     /// Set the gauge `name{labels}` to `v`.
-    pub fn gauge_set(&mut self, name: &'static str, labels: Labels, v: f64) {
+    pub fn gauge_set(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
         if self.enabled {
-            self.registry.gauge_set(name, labels, v);
+            self.registry.gauge_set(name, metrics::labels(labels), v);
         }
     }
 
     /// Record `v` into the histogram `name{labels}`; the histogram is
     /// created with `bounds` (strictly increasing upper bounds, `+Inf`
     /// implicit) on first use.
-    pub fn observe(&mut self, name: &'static str, labels: Labels, bounds: &'static [f64], v: f64) {
+    pub fn observe(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        bounds: &'static [f64],
+        v: f64,
+    ) {
         if self.enabled {
-            self.registry.observe(name, labels, bounds, v);
+            self.registry.observe(name, metrics::labels(labels), bounds, v);
         }
     }
 
     /// Append `(t, v)` to the timeseries `name{labels}`.
-    pub fn series_push(&mut self, name: &'static str, labels: Labels, t: SimTime, v: f64) {
+    pub fn series_push(&mut self, name: &'static str, labels: &[(&'static str, &str)], t: SimTime, v: f64) {
         if self.enabled {
-            self.registry.series_push(name, labels, t, v);
+            self.registry.series_push(name, metrics::labels(labels), t, v);
         }
     }
 
@@ -236,10 +245,10 @@ mod tests {
     #[test]
     fn off_records_nothing() {
         let mut t = Telemetry::off();
-        t.counter_inc("x_total", labels(&[]));
-        t.gauge_set("g", labels(&[]), 1.0);
-        t.observe("h_seconds", labels(&[]), &[1.0], 0.5);
-        t.series_push("s", labels(&[]), SimTime::ZERO, 1.0);
+        t.counter_inc("x_total", &[]);
+        t.gauge_set("g", &[], 1.0);
+        t.observe("h_seconds", &[], &[1.0], 0.5);
+        t.series_push("s", &[], SimTime::ZERO, 1.0);
         t.span("p", "t", "c", "n", SimTime::ZERO, SimTime::from_secs(1), vec![]);
         assert!(!t.is_on());
         assert_eq!(t.registry.counters().count(), 0);
@@ -249,9 +258,9 @@ mod tests {
     #[test]
     fn on_records_and_merges() {
         let mut a = Telemetry::on();
-        a.counter_add("x_total", labels(&[("k", "1")]), 2);
+        a.counter_add("x_total", &[("k", "1")], 2);
         let mut b = Telemetry::on();
-        b.counter_add("x_total", labels(&[("k", "1")]), 3);
+        b.counter_add("x_total", &[("k", "1")], 3);
         b.span("p", "t", "c", "n", SimTime::ZERO, SimTime::from_secs(1), vec![]);
         a.merge(b);
         let got: Vec<_> = a.registry.counters().collect();

@@ -6,7 +6,7 @@
 //! dumps the lot into a [`Telemetry`] registry under the `sim_*` metric
 //! names.
 
-use crate::{labels, Telemetry};
+use crate::Telemetry;
 use edison_simcore::time::SimTime;
 use edison_simcore::Observer;
 use std::collections::BTreeMap;
@@ -71,17 +71,17 @@ impl<F> EventCounter<F> {
         tel.help("sim_end_seconds", "sim time when the run finished");
         tel.help("sim_watchdog_trips_total", "runs halted by the max-events watchdog");
         for (&kind, &n) in &self.counts {
-            tel.counter_add("sim_events_total", labels(&[("world", world), ("kind", kind)]), n);
+            tel.counter_add("sim_events_total", &[("world", world), ("kind", kind)], n);
         }
-        tel.counter_add("sim_events_scheduled_total", labels(&[("world", world)]), self.scheduled);
+        tel.counter_add("sim_events_scheduled_total", &[("world", world)], self.scheduled);
         tel.gauge_set(
             "sim_heap_depth_max",
-            labels(&[("world", world)]),
+            &[("world", world)],
             self.max_heap_depth as f64,
         );
-        tel.gauge_set("sim_end_seconds", labels(&[("world", world)]), self.end.as_secs_f64());
+        tel.gauge_set("sim_end_seconds", &[("world", world)], self.end.as_secs_f64());
         if self.watchdog.is_some() {
-            tel.counter_inc("sim_watchdog_trips_total", labels(&[("world", world)]));
+            tel.counter_inc("sim_watchdog_trips_total", &[("world", world)]);
         }
     }
 }

@@ -1,16 +1,20 @@
 //! A real memcached-style keyed store with LRU eviction.
 //!
 //! Unlike the rest of the web model — which is a timing simulation — the
-//! cache is an actual data structure: `get` walks a hash map, promotes the
-//! entry in an intrusive LRU list, and the *measured hit ratio emerges from
-//! what was inserted during warm-up*, exactly as on the paper's testbed
-//! ("we control the cache hit ratio by adjusting the warm-up time").
+//! cache is an actual data structure: `get` indexes the key's slot,
+//! promotes the entry in an intrusive LRU list, and the *measured hit
+//! ratio emerges from what was inserted during warm-up*, exactly as on the
+//! paper's testbed ("we control the cache hit ratio by adjusting the
+//! warm-up time").
 //!
-//! Implementation: slab of entries with prev/next indices + `HashMap` from
-//! key to slot — O(1) get/insert/evict, no per-operation allocation once
-//! the slab is warm.
+//! Implementation: slab of entries with prev/next indices + a dense slot
+//! table from key to slot — O(1) get/insert/evict, no hashing and no
+//! per-operation allocation once the slab is warm. Keys are dense
+//! ([`Key::index`] is `table·ROWS_PER_TABLE + row`), and a cluster's
+//! client spreads them over `n` servers by `index % n`, so the store for
+//! one server indexes its table at `index / n` ([`LruStore::partition`]).
 
-use std::collections::HashMap;
+use crate::scenario::ROWS_PER_TABLE;
 
 /// A cache key: (table, row) — the paper's PHP picks a random table and row
 /// per request.
@@ -18,6 +22,15 @@ use std::collections::HashMap;
 pub struct Key {
     pub table: u8,
     pub row: u32,
+}
+
+impl Key {
+    /// Dense global index of the key: `table·ROWS_PER_TABLE + row`. The
+    /// memcached client partitions keys over servers by this index.
+    pub fn index(self) -> usize {
+        debug_assert!(self.row < ROWS_PER_TABLE, "row {} out of range", self.row);
+        usize::from(self.table) * ROWS_PER_TABLE as usize + self.row as usize
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -33,8 +46,12 @@ const NIL: u32 = u32::MAX;
 /// Byte-capacity-bounded LRU store. See module docs.
 #[derive(Debug, Clone)]
 pub struct LruStore {
-    // simlint: allow(R1) keyed lookup only; LRU order lives in the slab links
-    map: HashMap<Key, u32>,
+    /// Slab slot of each stored key at `key.index() / stride`; `NIL` when
+    /// absent. Grows on demand up to the highest key inserted.
+    slots: Vec<u32>,
+    /// Number of servers the key space is partitioned over (1: the whole
+    /// key space lives here).
+    stride: usize,
     slab: Vec<Entry>,
     free: Vec<u32>,
     head: u32, // most recent
@@ -47,12 +64,21 @@ pub struct LruStore {
 }
 
 impl LruStore {
-    /// Create a store bounded to `capacity_bytes` of values.
+    /// Create a store bounded to `capacity_bytes` of values, holding keys
+    /// from anywhere in the key space.
     pub fn new(capacity_bytes: u64) -> Self {
+        Self::partition(capacity_bytes, 1)
+    }
+
+    /// Create the store for one of `n_servers` servers that share the key
+    /// space by `key.index() % n_servers`. It must only see keys of its
+    /// own partition: a key of another partition aliases one of its own.
+    pub fn partition(capacity_bytes: u64, n_servers: usize) -> Self {
         assert!(capacity_bytes > 0);
+        assert!(n_servers > 0);
         LruStore {
-            // simlint: allow(R1) keyed lookup only (see field note)
-            map: HashMap::new(),
+            slots: Vec::new(),
+            stride: n_servers,
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -72,12 +98,13 @@ impl LruStore {
 
     /// Entries stored.
     pub fn len(&self) -> usize {
-        self.map.len()
+        // every slab slot is either live or on the free list
+        self.slab.len() - self.free.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Hits observed so far.
@@ -114,7 +141,7 @@ impl LruStore {
     /// Look up `key`, promoting it to most-recently-used on hit. Returns
     /// the stored value size.
     pub fn get(&mut self, key: Key) -> Option<u32> {
-        match self.map.get(&key).copied() {
+        match self.slot_of(key) {
             Some(slot) => {
                 self.hits += 1;
                 self.unlink(slot);
@@ -130,7 +157,20 @@ impl LruStore {
 
     /// Peek without touching LRU order or stats.
     pub fn contains(&self, key: Key) -> bool {
-        self.map.contains_key(&key)
+        self.slot_of(key).is_some()
+    }
+
+    /// Position of `key` in the slot table.
+    fn slot_index(&self, key: Key) -> usize {
+        key.index() / self.stride
+    }
+
+    /// Slab slot holding `key`, if stored.
+    fn slot_of(&self, key: Key) -> Option<u32> {
+        match self.slots.get(self.slot_index(key)) {
+            Some(&slot) if slot != NIL => Some(slot),
+            _ => None,
+        }
     }
 
     /// Insert (or refresh) `key` with a value of `bytes`, evicting LRU
@@ -140,7 +180,7 @@ impl LruStore {
         if bytes as u64 > self.capacity_bytes {
             return false;
         }
-        if let Some(&slot) = self.map.get(&key) {
+        if let Some(slot) = self.slot_of(key) {
             // refresh: adjust accounting and promote
             let old = self.slab[slot as usize].bytes;
             self.used_bytes = self.used_bytes - old as u64 + bytes as u64;
@@ -149,7 +189,11 @@ impl LruStore {
             self.push_front(slot);
         } else {
             let slot = self.alloc(Entry { key, bytes, prev: NIL, next: NIL });
-            self.map.insert(key, slot);
+            let at = self.slot_index(key);
+            if at >= self.slots.len() {
+                self.slots.resize(at + 1, NIL);
+            }
+            self.slots[at] = slot;
             self.push_front(slot);
             self.used_bytes += bytes as u64;
         }
@@ -164,7 +208,8 @@ impl LruStore {
         debug_assert!(tail != NIL, "evicting from an empty store");
         let e = self.slab[tail as usize].clone();
         self.unlink(tail);
-        self.map.remove(&e.key);
+        let at = self.slot_index(e.key);
+        self.slots[at] = NIL;
         self.free.push(tail);
         self.used_bytes -= e.bytes as u64;
         self.evictions += 1;
@@ -294,6 +339,23 @@ mod tests {
         let ratio = hits as f64 / 10_000.0;
         assert!((ratio - 0.93).abs() < 0.01, "ratio {ratio}");
         assert!((s.hit_ratio() - ratio).abs() < 1e-9);
+    }
+
+    #[test]
+    fn partitioned_stores_keep_their_keys_apart() {
+        // three servers, every key in its own server's store: each store
+        // answers exactly for the keys it was given
+        let mut stores: Vec<LruStore> = (0..3).map(|_| LruStore::partition(1 << 20, 3)).collect();
+        for row in (0..60).step_by(2) {
+            let key = k(4, row);
+            assert!(stores[key.index() % 3].set(key, 100 + row));
+        }
+        for row in 0..60 {
+            let key = k(4, row);
+            let got = stores[key.index() % 3].get(key);
+            assert_eq!(got, (row % 2 == 0).then_some(100 + row), "row {row}");
+        }
+        assert_eq!(stores.iter().map(LruStore::len).sum::<usize>(), 30);
     }
 
     #[test]

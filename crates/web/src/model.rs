@@ -30,7 +30,7 @@ use edison_net::{HostId, LinkGauge, Topology};
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::{Histogram, SampleSet, TimeSeries};
 use edison_simcore::time::{SimDuration, SimTime};
-use edison_simcore::SchedBuf;
+use edison_simcore::{FxBuildHasher, SchedBuf};
 use edison_simfault::metrics as fault_metrics;
 use edison_simfault::{Fault, FaultKind, FaultPlan, RecoveryWindow};
 use edison_simguard::metrics as guard_metrics;
@@ -39,7 +39,7 @@ use edison_simguard::{
     CircuitBreaker, Deadline, GateVerdict, GuardConfig, Priority, QueueGate, TokenBucket,
 };
 use edison_simrun::derive_seed;
-use edison_simtel::{labels, OpenSpan, Telemetry};
+use edison_simtel::{OpenSpan, Telemetry};
 use std::collections::{HashMap, VecDeque};
 
 /// Histogram bounds for request-delay telemetry, seconds (log-ish spacing
@@ -570,10 +570,14 @@ pub struct WebWorld {
     pub(crate) workers: Vec<WorkerPool>,
     pub(crate) syn_gates: Vec<SynGate>,
     pub(crate) rng: SimRng,
+    // Connection and request ids are the sequential `next_conn`/`next_req`
+    // counters: they double as fluid `TaskId`s and break completion ties,
+    // so they must never be recycled. Both maps are keyed-only and hashed
+    // with the unkeyed `FxBuildHasher` (no SipHash on the per-event path).
     // simlint: allow(R1) keyed lookup only; event order comes from the kernel heap
-    pub(crate) conns: HashMap<u64, Conn>,
+    pub(crate) conns: HashMap<u64, Conn, FxBuildHasher>,
     // simlint: allow(R1) keyed lookup only; event order comes from the kernel heap
-    pub(crate) reqs: HashMap<u64, Req>,
+    pub(crate) reqs: HashMap<u64, Req, FxBuildHasher>,
     pub(crate) next_conn: u64,
     pub(crate) next_req: u64,
     pub(crate) rr_web: usize,
@@ -650,6 +654,10 @@ pub struct WebWorld {
     pub(crate) brownout: Brownout,
     /// Span track for guard-layer intervals (brownout windows).
     pub(crate) guard_track: Option<usize>,
+    /// The state-machine driver's schedule buffer, lent to each event's
+    /// dispatch and put back emptied, so handling an event does not
+    /// allocate one.
+    pub(crate) sched: SchedBuf<Ev>,
 }
 
 /// Fraction of the per-request web CPU spent before the cache RPC (parse +
@@ -815,7 +823,7 @@ impl WebWorld {
             let free = nodes.node(NodeId(n_web)).mem_free();
             let cap = (free as f64 * 0.85) as u64;
             cache_cap_of.push(cap);
-            caches.push(LruStore::new(cap));
+            caches.push(LruStore::partition(cap, n_cache));
         }
         let warm_rows = (cfg.mix.cache_hit_ratio * ROWS_PER_TABLE as f64) as u32;
         for table in 0..db::TOTAL_TABLES as u8 {
@@ -877,9 +885,9 @@ impl WebWorld {
             syn_gates,
             rng,
             // simlint: allow(R1) keyed lookup only (see field notes)
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             // simlint: allow(R1) keyed lookup only (see field notes)
-            reqs: HashMap::new(),
+            reqs: HashMap::default(),
             next_conn: 0,
             next_req: 0,
             rr_web: 0,
@@ -913,6 +921,7 @@ impl WebWorld {
             admit_gate,
             brownout,
             guard_track: None,
+            sched: SchedBuf::new(SimTime::ZERO),
         }
     }
 
@@ -965,9 +974,10 @@ impl WebWorld {
     }
 
     /// The deterministic key → cache-server mapping (memcached client
-    /// hashing).
+    /// hashing); each server's store is an [`LruStore::partition`] of the
+    /// same stride.
     fn cache_for(key: Key, n_cache: usize) -> usize {
-        (key.table as usize * ROWS_PER_TABLE as usize + key.row as usize) % n_cache
+        key.index() % n_cache
     }
 
     pub(crate) fn n_web(&self) -> usize {
@@ -981,7 +991,7 @@ impl WebWorld {
     /// Telemetry: count one request leaving the system, by outcome
     /// (`ok`, `server_error`, `client_error`).
     fn tel_outcome(&mut self, outcome: &'static str) {
-        self.tel.counter_inc("web_requests_total", labels(&[("outcome", outcome)]));
+        self.tel.counter_inc("web_requests_total", &[("outcome", outcome)]);
     }
 
     /// Span track id for web node `web` — cached by
@@ -1165,13 +1175,13 @@ impl WebWorld {
         };
         self.tel.counter_inc(
             guard_metrics::BREAKER_TRANSITIONS_TOTAL,
-            labels(&[("tier", "web"), ("to", to)]),
+            &[("tier", "web"), ("to", to)],
         );
         if self.tel.is_on() {
             let backend = format!("web-{web}");
             self.tel.gauge_set(
                 guard_metrics::BREAKER_STATE,
-                labels(&[("tier", "web"), ("backend", &backend)]),
+                &[("tier", "web"), ("backend", &backend)],
                 level,
             );
         }
@@ -1239,7 +1249,7 @@ impl WebWorld {
         self.metrics.guard.lb_rejected += 1;
         self.tel.counter_inc(
             guard_metrics::SHED_TOTAL,
-            labels(&[("tier", "web"), ("reason", reason)]),
+            &[("tier", "web"), ("reason", reason)],
         );
         self.tel_outcome("shed");
     }
@@ -1250,7 +1260,7 @@ impl WebWorld {
         self.metrics.guard.failed += 1;
         self.tel.counter_inc(
             guard_metrics::FAILED_TOTAL,
-            labels(&[("tier", "web"), ("reason", reason)]),
+            &[("tier", "web"), ("reason", reason)],
         );
     }
 
@@ -1263,7 +1273,7 @@ impl WebWorld {
         self.admit_gate.observe(sojourn, now);
         self.tel.observe(
             guard_metrics::QUEUE_DELAY_SECONDS,
-            labels(&[("tier", "web")]),
+            &[("tier", "web")],
             guard_metrics::QUEUE_DELAY_BOUNDS_S,
             sojourn.as_secs_f64(),
         );
@@ -1272,14 +1282,14 @@ impl WebWorld {
                 self.metrics.guard.brownout_entries += 1;
                 self.tel.gauge_set(
                     guard_metrics::BROWNOUT_ACTIVE,
-                    labels(&[("tier", "web")]),
+                    &[("tier", "web")],
                     1.0,
                 );
             }
             BrownoutStep::Exited { since } => {
                 self.tel.gauge_set(
                     guard_metrics::BROWNOUT_ACTIVE,
-                    labels(&[("tier", "web")]),
+                    &[("tier", "web")],
                     0.0,
                 );
                 if let Some(track) = self.guard_track {
@@ -1402,7 +1412,7 @@ impl WebWorld {
             RetryCause::Dead => self.metrics.retry_dead_total += 1,
             RetryCause::Overflow => self.metrics.retry_overflow_total += 1,
         }
-        self.tel.counter_inc(guard_metrics::RETRY_CAUSE, labels(&[("cause", cause.name())]));
+        self.tel.counter_inc(guard_metrics::RETRY_CAUSE, &[("cause", cause.name())]);
         // connection ids count up from 0 and never reach 2^56, so packing
         // the attempt into the top byte keeps the stream index unique
         let stream_idx = conn_id | (u64::from(attempt) << 56);
@@ -1480,7 +1490,7 @@ impl WebWorld {
             }
             Err(AdmitError::AcceptOverrun) => {
                 self.metrics.syn_drops += 1;
-                self.tel.counter_inc("web_syn_drops_total", labels(&[]));
+                self.tel.counter_inc("web_syn_drops_total", &[]);
                 if attempt < 3 {
                     // kernel SYN retransmit backoff: +1 s, +2 s, +4 s
                     let backoff = SimDuration::from_secs(1 << attempt);
@@ -1555,7 +1565,7 @@ impl WebWorld {
         );
         if self.guard_on {
             self.metrics.guard.admitted += 1;
-            self.tel.counter_inc(guard_metrics::ADMITTED_TOTAL, labels(&[("tier", "web")]));
+            self.tel.counter_inc(guard_metrics::ADMITTED_TOTAL, &[("tier", "web")]);
         }
         let lat = scaled(self.topo.latency(client_host, self.node_hosts[web]), self.nic_lat[web]);
         sched.schedule_at(send_at + lat, Ev::ReqAtWeb { req: id });
@@ -1600,7 +1610,7 @@ impl WebWorld {
         let (web, client) = (r.web, r.client);
         self.tel.counter_inc(
             guard_metrics::SHED_TOTAL,
-            labels(&[("tier", "web"), ("reason", "deadline")]),
+            &[("tier", "web"), ("reason", "deadline")],
         );
         let lat = scaled(
             self.topo.latency(self.node_hosts[web], self.client_hosts[client]),
@@ -1753,7 +1763,7 @@ impl WebWorld {
     ) {
         self.tel.counter_inc(
             guard_metrics::DEGRADED_TOTAL,
-            labels(&[("tier", "web"), ("reason", reason)]),
+            &[("tier", "web"), ("reason", reason)],
         );
         let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.degraded = true;
@@ -1827,7 +1837,7 @@ impl WebWorld {
         let hit = self.caches[cache].get(key).is_some();
         self.tel.counter_inc(
             "web_cache_lookups_total",
-            labels(&[("result", if hit { "hit" } else { "miss" })]),
+            &[("result", if hit { "hit" } else { "miss" })],
         );
         let web_host = self.node_hosts[web];
         let cache_node = self.n_web() + cache;
@@ -2051,7 +2061,7 @@ impl WebWorld {
                 self.metrics.guard.deadline_miss += 1;
                 self.tel.counter_inc(
                     guard_metrics::DEADLINE_MISS_TOTAL,
-                    labels(&[("tier", "web")]),
+                    &[("tier", "web")],
                 );
             }
             if r.degraded {
@@ -2069,7 +2079,7 @@ impl WebWorld {
             self.tel_outcome(if r.degraded { "degraded" } else { "ok" });
             self.tel.observe(
                 "web_request_delay_seconds",
-                labels(&[]),
+                &[],
                 DELAY_BOUNDS_S,
                 now.since(start).as_secs_f64(),
             );
@@ -2254,7 +2264,7 @@ impl WebWorld {
         } else {
             fault_metrics::FAULT_SKIPPED_TOTAL
         };
-        self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "web")]));
+        self.tel.counter_inc(name, &[("kind", kind.name()), ("tier", "web")]);
         self.ensure_health_checks(now, sched);
     }
 
@@ -2326,7 +2336,7 @@ impl WebWorld {
         let node = self.n_web() + cache;
         let used = self.caches[cache].used_bytes();
         self.nodes.node_mut(NodeId(node)).free_mem(used);
-        self.caches[cache] = LruStore::new(self.cache_cap_of[cache]);
+        self.caches[cache] = LruStore::partition(self.cache_cap_of[cache], self.caches.len());
         self.cache_writeback = true;
         true
     }
@@ -2342,7 +2352,7 @@ impl WebWorld {
                 if !self.lb_dead[i] && self.hc_fail[i] >= HC_FALL {
                     self.lb_dead[i] = true;
                     self.metrics.failovers += 1;
-                    self.tel.counter_inc(fault_metrics::FAILOVER_TOTAL, labels(&[("tier", "web")]));
+                    self.tel.counter_inc(fault_metrics::FAILOVER_TOTAL, &[("tier", "web")]);
                 }
             } else {
                 self.hc_fail[i] = 0;
@@ -2356,7 +2366,7 @@ impl WebWorld {
                             self.metrics.recovery_s.push(rec);
                             self.tel.observe(
                                 fault_metrics::RECOVERY_SECONDS,
-                                labels(&[("tier", "web")]),
+                                &[("tier", "web")],
                                 fault_metrics::RECOVERY_BOUNDS_S,
                                 rec,
                             );
@@ -2402,7 +2412,7 @@ impl WebWorld {
         self.metrics.cache_mem.push(cache_mem / n_cache as f64);
         if self.tel.is_on() {
             let delta = self.metrics.completed_total - self.metrics.last_sampled_completed;
-            self.tel.series_push("web_throughput_rps", labels(&[]), now, delta as f64);
+            self.tel.series_push("web_throughput_rps", &[], now, delta as f64);
         }
     }
 
@@ -2437,14 +2447,14 @@ impl WebWorld {
                 self.metrics.guard.failed += inflight;
                 self.tel.counter_add(
                     guard_metrics::FAILED_TOTAL,
-                    labels(&[("tier", "web"), ("reason", "inflight_at_stop")]),
+                    &[("tier", "web"), ("reason", "inflight_at_stop")],
                     inflight,
                 );
             }
             if let Some(since) = self.brownout.active_since() {
                 self.tel.gauge_set(
                     guard_metrics::BROWNOUT_ACTIVE,
-                    labels(&[("tier", "web")]),
+                    &[("tier", "web")],
                     0.0,
                 );
                 if let Some(track) = self.guard_track {
@@ -2473,14 +2483,14 @@ impl WebWorld {
                 format!("cache-{}", i - n_web)
             };
             for (t, w) in steps {
-                self.tel.series_push("node_power_watts", labels(&[("node", &name)]), t, w);
+                self.tel.series_push("node_power_watts", &[("node", &name)], t, w);
             }
         }
         for i in 0..self.dbc.len() {
             let steps = self.dbc.node(NodeId(i)).power_trace().to_vec();
             let name = format!("db-{i}");
             for (t, w) in steps {
-                self.tel.series_push("node_power_watts", labels(&[("node", &name)]), t, w);
+                self.tel.series_push("node_power_watts", &[("node", &name)], t, w);
             }
         }
     }
