@@ -34,12 +34,10 @@ pub mod hash;
 pub mod profile;
 pub mod queue;
 pub mod rng;
-pub mod sched;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Ctx, Model, NoopObserver, Observer, Simulation};
 pub use hash::FxBuildHasher;
-pub use sched::SchedBuf;
 pub use profile::{EngineProfile, KindProfiler, KindStats, NoopProfiler, Profiler};
 pub use time::{SimDuration, SimTime};

@@ -6,8 +6,7 @@
 //! tier would run there, built so that every decision is a pure function
 //! of (configuration, sim-time, derived seed) — no wall clock, no
 //! ambient RNG, no map-iteration order — and therefore byte-identical
-//! across the legacy state-machine driver, the async lifecycle driver,
-//! and any `--jobs` level:
+//! per seed at any `--jobs` level:
 //!
 //! * [`Deadline`]/[`Budget`] — per-request deadline budgets that
 //!   propagate through every lifecycle stage (LB → lighttpd → PHP →

@@ -22,7 +22,6 @@
 
 pub mod db;
 pub mod httperf;
-pub mod lifecycle;
 pub mod memcached;
 pub mod model;
 pub mod pyclient;

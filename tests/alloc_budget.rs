@@ -2,8 +2,8 @@
 //!
 //! The web model with telemetry off is meant to allocate nothing per
 //! event: fluid tasks live in an id-sorted `Vec`, network paths are inline,
-//! label sets are built only when a sink is on, and the engine and the
-//! state-machine driver reuse their scheduling buffers. What is left is
+//! label sets are built only when a sink is on, and the engine reuses the
+//! scheduling buffer the web helpers write into. What is left is
 //! amortised growth (request/connection maps, delay samples). This test
 //! counts every allocation of one Edison Eighth httperf point after the
 //! world is built and holds it to at most half an allocation per engine
