@@ -17,14 +17,15 @@ const PER_TASK: f64 = 632.3;
 fn fluid_makespan(n: u64) -> f64 {
     let mut r = FluidResource::new(CAPACITY, PER_TASK);
     let mut now = SimTime::ZERO;
+    let mut done = Vec::new();
     for i in 0..n {
         r.add(now, i, 500.0);
         now = now + SimDuration::from_millis(100);
-        r.take_finished(now);
+        r.take_finished(now, &mut done);
     }
     while let Some((_, at)) = r.next_completion(now) {
         now = at;
-        r.take_finished(now);
+        r.take_finished(now, &mut done);
     }
     now.as_secs_f64()
 }

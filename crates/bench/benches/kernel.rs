@@ -37,14 +37,15 @@ fn bench_fluid(c: &mut Criterion) {
         b.iter(|| {
             let mut r = FluidResource::new(1000.0, 10.0);
             let mut now = SimTime::ZERO;
+            let mut done = Vec::new();
             for i in 0..1000u64 {
                 r.add(now, i, 5.0 + (i % 17) as f64);
                 now = now + SimDuration::from_micros(137);
-                r.take_finished(now);
+                r.take_finished(now, &mut done);
             }
             while let Some((_, at)) = r.next_completion(now) {
                 now = at;
-                r.take_finished(now);
+                r.take_finished(now, &mut done);
             }
             black_box(r.work_done())
         })

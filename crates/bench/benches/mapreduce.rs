@@ -9,12 +9,16 @@ use edison_core::experiments::mapred;
 use edison_core::registry::RunBudget;
 use edison_mapreduce::engine::{run_job, ClusterSetup};
 use edison_mapreduce::jobs::{self, Tune};
+use edison_simrun::Executor;
+use edison_simtel::Telemetry;
 use std::hint::black_box;
 
 fn print_once() {
     let budget = RunBudget::quick();
-    println!("{}", mapred::fig12_17(&budget));
-    println!("{}", mapred::table8(&budget));
+    let exec = Executor::from_env();
+    let mut tel = Telemetry::off();
+    println!("{}", mapred::fig12_17(&budget, &exec, &mut tel).expect("fig12_17 runs"));
+    println!("{}", mapred::table8(&budget, &exec, &mut tel).expect("table8 runs"));
 }
 
 fn bench_mapreduce(c: &mut Criterion) {

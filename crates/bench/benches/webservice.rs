@@ -7,19 +7,23 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use edison_core::experiments::webservice;
 use edison_core::registry::RunBudget;
+use edison_simrun::Executor;
+use edison_simtel::Telemetry;
 use edison_web::httperf::{self, RunOpts};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 use std::hint::black_box;
 
 fn print_once() {
     let budget = RunBudget::quick();
+    let exec = Executor::from_env();
+    let mut tel = Telemetry::off();
     for report in [
-        webservice::fig04_07(&budget),
-        webservice::fig06_09(&budget),
-        webservice::fig10_11(&budget),
-        webservice::table7(&budget),
+        webservice::fig04_07(&budget, &exec, &mut tel),
+        webservice::fig06_09(&budget, &exec, &mut tel),
+        webservice::fig10_11(&budget, &exec, &mut tel),
+        webservice::table7(&budget, &exec, &mut tel),
     ] {
-        println!("{report}");
+        println!("{}", report.expect("web experiment runs"));
     }
 }
 

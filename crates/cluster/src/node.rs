@@ -93,11 +93,11 @@ impl Node {
         self.cpu.next_completion(now)
     }
 
-    /// Collect finished CPU tasks at `now`, keeping power consistent.
-    pub fn take_finished_cpu(&mut self, now: SimTime) -> Vec<TaskId> {
-        let done = self.cpu.take_finished(now);
+    /// Collect finished CPU tasks at `now` into `done` (replacing its
+    /// contents, sorted by id), keeping power consistent.
+    pub fn take_finished_cpu(&mut self, now: SimTime, done: &mut Vec<TaskId>) {
+        self.cpu.take_finished(now, done);
         self.sync_power(now);
-        done
     }
 
     /// CPU epoch for the completion-event invalidation protocol.
@@ -281,7 +281,8 @@ mod tests {
         }
         let (_, done_at) = n.next_cpu_completion(t(0.0)).unwrap();
         assert!((done_at.as_secs_f64() - 1.0).abs() < 1e-6);
-        let finished = n.take_finished_cpu(done_at);
+        let mut finished = Vec::new();
+        n.take_finished_cpu(done_at, &mut finished);
         assert_eq!(finished.len(), 12);
         // 1 s at 109 W busy + 1 s at 52 W idle = 161 J after 2 s
         let e = n.energy_joules(t(2.0));

@@ -23,6 +23,7 @@ use crate::yarn::{heartbeat, Grant, LivenessTracker, NodeCapacity, PendingTask};
 use edison_cluster::{Cluster, NodeId};
 use edison_hw::{calib, presets};
 use edison_net::{HostId, LinkGauge, Topology};
+use edison_simcore::fluid::TaskId;
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::TimeSeries;
 use edison_simcore::time::{SimDuration, SimTime};
@@ -425,6 +426,9 @@ struct MrWorld {
     /// filled once at trace setup — per-event span recording is then
     /// id-indexed, no string formatting on the hot path.
     slave_tracks: Vec<usize>,
+    /// Completion buffer the `NodeCpu` handler lends to
+    /// `take_finished_cpu`, so a CPU completion allocates nothing.
+    cpu_finished: Vec<TaskId>,
 }
 
 impl MrWorld {
@@ -556,6 +560,7 @@ impl MrWorld {
             last_progress: SimTime::ZERO,
             tel: Telemetry::off(),
             slave_tracks: Vec::new(),
+            cpu_finished: Vec::new(),
         }
     }
 
@@ -1581,8 +1586,9 @@ impl Model for MrWorld {
                 if self.nodes.node(NodeId(node)).cpu_epoch() != epoch {
                     return;
                 }
-                let done = self.nodes.node_mut(NodeId(node)).take_finished_cpu(now);
-                for id in done {
+                let mut done = std::mem::take(&mut self.cpu_finished);
+                self.nodes.node_mut(NodeId(node)).take_finished_cpu(now, &mut done);
+                for &id in &done {
                     debug_assert_ne!(id, AM_ID, "AM work has no completion event");
                     let (attempt, task) = decode_job(id);
                     if self.node_down[node] || self.tasks[task].attempt != attempt {
@@ -1590,6 +1596,7 @@ impl Model for MrWorld {
                     }
                     self.cpu_done(node, task, now, ctx);
                 }
+                self.cpu_finished = done;
                 self.schedule_node_cpu(node, now, ctx);
             }
             Ev::DiskDone { node, job } => {

@@ -24,6 +24,20 @@
 //! removed) bumps the epoch; stale events are ignored on delivery and the
 //! model re-schedules from [`next_completion`](FluidResource::next_completion).
 //! The kernel's heap never needs random deletion.
+//!
+//! ### Cost per operation
+//!
+//! Tasks live in an id-sorted `Vec`, and every mutation makes one pass
+//! over them: `advance`, `add` (advance plus an insert) and
+//! `take_finished` (progress, reaping and compaction fused) are O(n);
+//! `cancel` is O(n) and scans a second time only when it removed the next
+//! task to finish. [`next_completion`](FluidResource::next_completion) is
+//! O(1): the index of the next task to finish is kept by the passes that
+//! already run, in the same least-work-then-lowest-id order a full scan
+//! would use. Floating-point operations happen in the same order as in a
+//! separate advance-then-reap, so results are bit-identical to it.
+//! `take_finished` writes into a caller-owned buffer and allocates
+//! nothing once that buffer has grown.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -50,12 +64,26 @@ pub struct FluidResource {
     /// run (a `HashMap` here was hasher-order nondeterministic), and the
     /// walk is over one contiguous array.
     tasks: Vec<(TaskId, f64)>,
+    /// Index in `tasks` of the next task to finish (least remaining work,
+    /// ties to the lower id); `None` exactly when `tasks` is empty.
+    next: Option<usize>,
     last_update: SimTime,
     epoch: u64,
     /// Total work completed over the lifetime of the resource.
     work_done: f64,
     /// ∫ utilisation dt (seconds of full-capacity-equivalent use).
     busy_integral: f64,
+}
+
+/// True when task `a` finishes strictly before task `b`: less remaining
+/// work, ties to the lower id. Ids are unique, so this is a total order.
+///
+/// Remaining work is never NaN or `-0.0` (work is asserted finite and
+/// positive, and `rem - step.min(rem)` is at least `+0.0`), so on it `<`
+/// and `==` agree with `total_cmp`; a pass in id order can keep the next
+/// task with them alone.
+fn finishes_before(a: (TaskId, f64), b: (TaskId, f64)) -> bool {
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)).is_lt()
 }
 
 impl FluidResource {
@@ -70,6 +98,7 @@ impl FluidResource {
             capacity,
             per_task_cap,
             tasks: Vec::new(),
+            next: None,
             last_update: SimTime::ZERO,
             epoch: 0,
             work_done: 0.0,
@@ -122,28 +151,47 @@ impl FluidResource {
         self.busy_integral
     }
 
+    /// Move the clock to `now` and return the seconds elapsed, or `None`
+    /// when no task progresses (no time passed, or nothing in flight).
+    fn elapse(&mut self, now: SimTime) -> Option<f64> {
+        debug_assert!(now >= self.last_update, "fluid resource time went backwards");
+        let dt = now.saturating_since(self.last_update).as_secs_f64();
+        self.last_update = now;
+        (dt > 0.0 && self.rate_per_task() > 0.0).then_some(dt)
+    }
+
     /// Apply progress between `last_update` and `now` at the current rates.
     ///
     /// Idempotent for equal `now`. Panics in debug builds if time runs
     /// backwards.
     pub fn advance(&mut self, now: SimTime) {
-        debug_assert!(now >= self.last_update, "fluid resource time went backwards");
-        let dt = now.saturating_since(self.last_update).as_secs_f64();
-        if dt > 0.0 {
-            let rate = self.rate_per_task();
-            if rate > 0.0 {
-                let mut done = 0.0;
-                for (_, rem) in &mut self.tasks {
-                    let step = rate * dt;
-                    let used = step.min(*rem);
-                    *rem -= used;
-                    done += used;
-                }
-                self.work_done += done;
-                self.busy_integral += self.utilization() * dt;
+        // `next` is `Some` whenever a task is in flight to progress
+        let (Some(dt), Some(m)) = (self.elapse(now), self.next) else { return };
+        let util = self.utilization();
+        let step = self.rate_per_task() * dt;
+        // One step for all keeps the order by remaining work
+        // (`rem - step.min(rem)` is monotone in `rem`), so task `m` stays a
+        // least one; only a lower id can draw level with it and take over.
+        let (head, tail) = self.tasks.split_at_mut(m);
+        let level = tail[0].1 - step.min(tail[0].1);
+        let mut next = m;
+        let mut done = 0.0;
+        for (i, (_, rem)) in head.iter_mut().enumerate() {
+            let used = step.min(*rem);
+            *rem -= used;
+            done += used;
+            if *rem == level && next == m {
+                next = i;
             }
         }
-        self.last_update = now;
+        for (_, rem) in tail {
+            let used = step.min(*rem);
+            *rem -= used;
+            done += used;
+        }
+        self.next = Some(next);
+        self.work_done += done;
+        self.busy_integral += util * dt;
     }
 
     /// Add a task with `work` units. Advances to `now` first and bumps the
@@ -156,6 +204,10 @@ impl FluidResource {
         let at = self.tasks.partition_point(|&(t, _)| t < id);
         assert!(self.tasks.get(at).is_none_or(|&(t, _)| t != id), "duplicate fluid task id {id}");
         self.tasks.insert(at, (id, work));
+        self.next = match self.next.map(|n| n + usize::from(n >= at)) {
+            Some(n) if finishes_before(self.tasks[n], (id, work)) => Some(n),
+            _ => Some(at),
+        };
         self.epoch += 1;
     }
 
@@ -163,27 +215,28 @@ impl FluidResource {
     /// Returns its remaining work, or `None` if unknown.
     pub fn cancel(&mut self, now: SimTime, id: TaskId) -> Option<f64> {
         self.advance(now);
-        let rem = self.slot(id).map(|i| self.tasks.remove(i).1);
-        if rem.is_some() {
-            self.epoch += 1;
-        }
-        rem
+        let i = self.slot(id)?;
+        let (_, rem) = self.tasks.remove(i);
+        self.next = match self.next {
+            Some(n) if n == i => self.scan_next(),
+            Some(n) => Some(n - usize::from(n > i)),
+            None => None,
+        };
+        self.epoch += 1;
+        Some(rem)
     }
 
     /// The next task to finish and its completion time, if any.
     ///
     /// All in-flight tasks share one rate, so the task with the least
     /// remaining work finishes first; ties broken by lowest id for
-    /// determinism.
+    /// determinism. O(1): the mutations keep that task's index.
     pub fn next_completion(&self, now: SimTime) -> Option<(TaskId, SimTime)> {
         let rate = self.rate_per_task();
         if rate <= 0.0 {
             return None;
         }
-        let &(id, rem) = self
-            .tasks
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))?;
+        let (id, rem) = self.tasks[self.next?];
         let dt = (rem / rate).max(0.0);
         // Round the completion instant *up* (plus 1 ns of slack) so that
         // advancing to it always clears the task's remaining work; rounding
@@ -194,26 +247,50 @@ impl FluidResource {
         Some((id, now + SimDuration(dt_nanos)))
     }
 
-    /// Pop every task whose remaining work is (numerically) zero at `now`.
+    /// Advance to `now` and move every task whose remaining work is
+    /// (numerically) zero into `done`, replacing its contents.
     ///
     /// Call this from the completion-event handler after verifying the epoch;
-    /// it advances to `now`, removes finished tasks, and bumps the epoch if
-    /// anything was removed. Returned ids are sorted for determinism.
-    pub fn take_finished(&mut self, now: SimTime) -> Vec<TaskId> {
-        self.advance(now);
-        let mut done = Vec::new();
-        // `tasks` is id-sorted, so `done` comes out sorted
-        self.tasks.retain(|&(id, rem)| {
-            let finished = rem <= WORK_EPS;
-            if finished {
-                done.push(id);
+    /// it bumps the epoch if anything finished. `done` comes out sorted by
+    /// id. Progress, reaping and the next-task bookkeeping share one pass,
+    /// with the floating-point operations of `advance` in the same order.
+    pub fn take_finished(&mut self, now: SimTime, done: &mut Vec<TaskId>) {
+        done.clear();
+        let dt = self.elapse(now);
+        // utilisation and rate of the step are those before the reap
+        let util = self.utilization();
+        let step = dt.map(|dt| self.rate_per_task() * dt);
+        let mut work = 0.0;
+        let mut kept = 0;
+        let (mut next, mut next_rem) = (0, f64::INFINITY);
+        for i in 0..self.tasks.len() {
+            let (id, mut rem) = self.tasks[i];
+            if let Some(step) = step {
+                let used = step.min(rem);
+                rem -= used;
+                work += used;
             }
-            !finished
-        });
+            if rem <= WORK_EPS {
+                done.push(id);
+                continue;
+            }
+            self.tasks[kept] = (id, rem);
+            // `finishes_before` as a strict `<` in id order, written as
+            // selects: a branch here mispredicts on unsorted work
+            let less = rem < next_rem;
+            next = if less { kept } else { next };
+            next_rem = if less { rem } else { next_rem };
+            kept += 1;
+        }
+        self.tasks.truncate(kept);
+        self.next = (kept > 0).then_some(next);
+        if let Some(dt) = dt {
+            self.work_done += work;
+            self.busy_integral += util * dt;
+        }
         if !done.is_empty() {
             self.epoch += 1;
         }
-        done
     }
 
     /// Remaining work of a task, if in flight (advances nothing).
@@ -224,6 +301,12 @@ impl FluidResource {
     /// Index of task `id` in `tasks`, if in flight.
     fn slot(&self, id: TaskId) -> Option<usize> {
         self.tasks.binary_search_by_key(&id, |&(t, _)| t).ok()
+    }
+
+    /// Index of the next task to finish, by a scan over every task.
+    fn scan_next(&self) -> Option<usize> {
+        let tasks = &self.tasks;
+        (0..tasks.len()).reduce(|n, i| if finishes_before(tasks[i], tasks[n]) { i } else { n })
     }
 }
 
@@ -255,7 +338,8 @@ mod tests {
         assert_eq!(id, 1);
         assert!((at.as_secs_f64() - 2.0).abs() < 1e-8);
         // after task 1 finishes, task 2 speeds up to 10/s with 10 left.
-        let done = r.take_finished(at);
+        let mut done = Vec::new();
+        r.take_finished(at, &mut done);
         assert_eq!(done, vec![1]);
         let (id2, at2) = r.next_completion(at).unwrap();
         assert_eq!(id2, 2);
@@ -294,7 +378,8 @@ mod tests {
         r.add(t(0.0), 1, 5.0); // runs at 5/s → 50% utilisation
         assert!((r.utilization() - 0.5).abs() < 1e-12);
         r.advance(t(1.0));
-        let done = r.take_finished(t(1.0));
+        let mut done = Vec::new();
+        r.take_finished(t(1.0), &mut done);
         assert_eq!(done, vec![1]);
         assert!((r.busy_seconds() - 0.5).abs() < 1e-9);
         assert!((r.work_done() - 5.0).abs() < 1e-9);
@@ -306,18 +391,19 @@ mod tests {
         let mut r = FluidResource::new(7.0, 3.0);
         let mut now = t(0.0);
         let mut submitted = 0.0;
+        let mut done = Vec::new();
         for i in 0..50u64 {
             let w = 1.0 + (i % 7) as f64;
             r.add(now, i, w);
             submitted += w;
             now = now + SimDuration::from_millis(137);
             r.advance(now);
-            r.take_finished(now);
+            r.take_finished(now, &mut done);
         }
         // drain
         while let Some((_, at)) = r.next_completion(now) {
             now = at;
-            r.take_finished(now);
+            r.take_finished(now, &mut done);
         }
         assert!(r.is_empty());
         assert!(
@@ -343,6 +429,59 @@ mod tests {
         r.add(t(0.0), 3, 5.0);
         let (id, _) = r.next_completion(t(0.0)).unwrap();
         assert_eq!(id, 3);
+    }
+
+    #[test]
+    fn same_step_clamp_ties_go_to_lower_id() {
+        // task 5 (added first) and task 2 both clamp to 0.0 in one advance
+        // while task 9 is left with work; the lower id is the next to finish.
+        let mut r = FluidResource::new(30.0, f64::INFINITY);
+        r.add(t(0.0), 5, 1.0);
+        r.add(t(0.0), 2, 2.0);
+        r.add(t(0.0), 9, 100.0);
+        r.advance(t(1.0)); // 10/s each: both small tasks clamp to 0.0
+        assert_eq!(r.remaining(5), Some(0.0));
+        assert_eq!(r.remaining(2), Some(0.0));
+        let (id, at) = r.next_completion(t(1.0)).unwrap();
+        assert_eq!(id, 2);
+        assert_eq!(at, t(1.0) + SimDuration(1));
+    }
+
+    #[test]
+    fn cancel_of_next_hands_over_to_runner_up() {
+        // 10/s shared by two, 5/s each: task 4 would finish first.
+        let mut r = FluidResource::new(10.0, f64::INFINITY);
+        r.add(t(0.0), 4, 5.0);
+        r.add(t(0.0), 8, 20.0);
+        assert_eq!(r.next_completion(t(0.0)).unwrap().0, 4);
+        // at 0.5 s task 8 has 17.5 left and runs alone at 10/s
+        assert_eq!(r.cancel(t(0.5), 4), Some(2.5));
+        let (id, at) = r.next_completion(t(0.5)).unwrap();
+        assert_eq!(id, 8);
+        assert_eq!(at, SimTime(2_250_000_001));
+        // ... and its cancellation empties the resource
+        r.cancel(t(1.0), 8);
+        assert_eq!(r.next_completion(t(1.0)), None);
+    }
+
+    #[test]
+    fn take_finished_at_zero_dt_advances_nothing() {
+        let mut r = FluidResource::new(10.0, 10.0);
+        r.add(t(1.0), 1, 5.0);
+        let (work, busy, epoch) = (r.work_done(), r.busy_seconds(), r.epoch());
+        let mut done = vec![99];
+        r.take_finished(t(1.0), &mut done);
+        assert!(done.is_empty());
+        assert_eq!(r.remaining(1), Some(5.0));
+        assert_eq!((r.work_done(), r.busy_seconds(), r.epoch()), (work, busy, epoch));
+        // a task below the epsilon finishes at dt == 0 and bumps the epoch
+        r.add(t(1.0), 2, 1e-4);
+        let (work, epoch) = (r.work_done(), r.epoch());
+        r.take_finished(t(1.0), &mut done);
+        assert_eq!(done, vec![2]);
+        assert_eq!(r.epoch(), epoch + 1);
+        assert_eq!(r.work_done(), work);
+        assert_eq!(r.next_completion(t(1.0)).unwrap().0, 1);
     }
 
     #[test]

@@ -146,6 +146,7 @@ proptest! {
         let mut got = FluidResource::new(capacity, per_task);
         let mut want = RefFluid::new(capacity, per_task);
         let mut now = SimTime::ZERO;
+        let mut done = Vec::new();
         for &(op, id, work, gap_us) in &ops {
             now = now + SimDuration::from_micros(gap_us);
             match op {
@@ -170,7 +171,8 @@ proptest! {
                     if let Some((_, at)) = next {
                         now = at;
                     }
-                    prop_assert_eq!(got.take_finished(now), want.take_finished(now));
+                    got.take_finished(now, &mut done);
+                    prop_assert_eq!(&done, &want.take_finished(now));
                 }
             }
             prop_assert_eq!(got.len(), want.tasks.len());
@@ -222,17 +224,18 @@ proptest! {
         let mut r = FluidResource::new(capacity, per_task);
         let mut submitted = 0.0;
         let mut now = SimTime::ZERO;
+        let mut done = Vec::new();
         for (i, &(work, gap_us)) in jobs.iter().enumerate() {
             now = now + SimDuration::from_micros(gap_us);
             r.advance(now);
-            r.take_finished(now);
+            r.take_finished(now, &mut done);
             r.add(now, i as u64, work);
             submitted += work;
         }
         let mut guard = 0;
         while let Some((_, at)) = r.next_completion(now) {
             now = at;
-            r.take_finished(now);
+            r.take_finished(now, &mut done);
             guard += 1;
             prop_assert!(guard < 10_000, "drain did not terminate");
         }

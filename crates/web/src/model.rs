@@ -16,6 +16,7 @@ use edison_cluster::{Cluster, NodeId};
 use edison_hw::{calib, presets};
 use edison_net::topology::TwoRooms;
 use edison_net::{HostId, LinkGauge, Topology};
+use edison_simcore::fluid::TaskId;
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::{Histogram, SampleSet, TimeSeries};
 use edison_simcore::time::{SimDuration, SimTime};
@@ -521,6 +522,9 @@ pub struct WebWorld {
     pub(crate) brownout: Brownout,
     /// Span track for guard-layer intervals (brownout windows).
     pub(crate) guard_track: Option<usize>,
+    /// Completion buffer the `NodeCpu`/`DbCpu` handlers lend to
+    /// `take_finished_cpu`, so a CPU completion allocates nothing.
+    pub(crate) cpu_finished: Vec<TaskId>,
 }
 
 /// Fraction of the per-request web CPU spent before the cache RPC (parse +
@@ -784,6 +788,7 @@ impl WebWorld {
             admit_gate,
             brownout,
             guard_track: None,
+            cpu_finished: Vec::new(),
         }
     }
 
@@ -2304,24 +2309,28 @@ impl WebWorld {
                 if self.nodes.node(NodeId(node)).cpu_epoch() != epoch {
                     return;
                 }
-                let done = self.nodes.node_mut(NodeId(node)).take_finished_cpu(now);
-                for tid in done {
+                let mut done = std::mem::take(&mut self.cpu_finished);
+                self.nodes.node_mut(NodeId(node)).take_finished_cpu(now, &mut done);
+                for &tid in &done {
                     if node < self.n_web() {
                         self.web_cpu_done(tid, now, ctx);
                     } else {
                         self.cache_cpu_done(tid, now, ctx);
                     }
                 }
+                self.cpu_finished = done;
                 self.schedule_node_cpu(node, now, ctx);
             }
             Ev::DbCpu { node, epoch } => {
                 if self.dbc.node(NodeId(node)).cpu_epoch() != epoch {
                     return;
                 }
-                let done = self.dbc.node_mut(NodeId(node)).take_finished_cpu(now);
-                for tid in done {
+                let mut done = std::mem::take(&mut self.cpu_finished);
+                self.dbc.node_mut(NodeId(node)).take_finished_cpu(now, &mut done);
+                for &tid in &done {
                     self.db_cpu_done(tid, now, ctx);
                 }
+                self.cpu_finished = done;
                 self.schedule_db_cpu(node, now, ctx);
             }
             Ev::ReqAtWeb { req } => self.admit_to_worker(req, now, ctx),

@@ -1,13 +1,13 @@
 //! Allocation budget of the telemetry-off web hot path.
 //!
 //! The web model with telemetry off is meant to allocate nothing per
-//! event: fluid tasks live in an id-sorted `Vec`, network paths are inline,
-//! label sets are built only when a sink is on, and the engine reuses the
-//! scheduling buffer the web helpers write into. What is left is
-//! amortised growth (request/connection maps, delay samples). This test
-//! counts every allocation of one Edison Eighth httperf point after the
-//! world is built and holds it to at most half an allocation per engine
-//! event.
+//! event: fluid tasks live in an id-sorted `Vec`, CPU completions land in
+//! a buffer the world owns, network paths are inline, label sets are
+//! built only when a sink is on, and the engine reuses the scheduling
+//! buffer the web helpers write into. What is left is amortised growth
+//! (request/connection maps, delay samples). This test counts every
+//! allocation of one Edison Eighth httperf point after the world is built
+//! and holds it to at most one allocation per hundred engine events.
 //!
 //! It is the only test in this binary: the counting allocator is
 //! process-global, so a concurrent test would pollute the count.
@@ -23,7 +23,7 @@ use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations per delivered engine event the hot path may cost.
-const BUDGET: f64 = 0.5;
+const BUDGET: f64 = 0.01;
 
 #[test]
 fn telemetry_off_web_point_stays_within_allocation_budget() {
