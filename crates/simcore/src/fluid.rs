@@ -25,19 +25,37 @@
 //! model re-schedules from [`next_completion`](FluidResource::next_completion).
 //! The kernel's heap never needs random deletion.
 //!
-//! ### Cost per operation
+//! ### Layout and cost per operation
 //!
-//! Tasks live in an id-sorted `Vec`, and every mutation makes one pass
-//! over them: `advance`, `add` (advance plus an insert) and
-//! `take_finished` (progress, reaping and compaction fused) are O(n);
-//! `cancel` is O(n) and scans a second time only when it removed the next
-//! task to finish. [`next_completion`](FluidResource::next_completion) is
-//! O(1): the index of the next task to finish is kept by the passes that
-//! already run, in the same least-work-then-lowest-id order a full scan
-//! would use. Floating-point operations happen in the same order as in a
-//! separate advance-then-reap, so results are bit-identical to it.
-//! `take_finished` writes into a caller-owned buffer and allocates
-//! nothing once that buffer has grown.
+//! Tasks live in two parallel `Vec`s: `rems` holds remaining work in
+//! **non-increasing** order and `ids` the task beside each entry, so the
+//! next task to finish sits at the tail.
+//!
+//! The order survives progress without a re-sort. Every task takes the
+//! same step `rem - step.min(rem)`, and under IEEE round-to-nearest that is
+//! monotone in `rem`: a step can make two tasks tie, never swap them. With
+//! `k` the number of tasks holding at least `step`, the step is a binary
+//! search for `k`, then `rem -= step` over the head `rems[..k]` (exactly
+//! `rem - step.min(rem)` there, with no branch) and `+0.0` over the clamped
+//! tail.
+//!
+//! * `advance` is O(log n) plus one branch-free pass over a contiguous
+//!   `f64` slice.
+//! * `add` advances, binary-searches its slot and inserts: O(n) moves,
+//!   plus a linear duplicate-id check.
+//! * `take_finished` advances and pops finished tasks off the tail; it
+//!   sorts `done` by id only when it holds more than one id, and allocates
+//!   nothing once the caller's buffer has grown.
+//! * [`next_completion`](FluidResource::next_completion) reads the tail:
+//!   the lowest id among the tasks tied with the last one, so the
+//!   least-work-then-lowest-id rule of a full scan.
+//! * `cancel` and `remaining` find their task by a linear search over
+//!   `ids`; only crash faults cancel tasks.
+//!
+//! Remaining work, completion instants, finished ids, epochs and
+//! `busy_seconds` are bit-identical to advancing every task in id order.
+//! `work_done` is not: a step adds `step × k` plus the clamped residues,
+//! the same quantity grouped differently, so its low bits may differ.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -59,31 +77,19 @@ pub type TaskId = u64;
 pub struct FluidResource {
     capacity: f64,
     per_task_cap: f64,
-    /// `(id, remaining work units)` per task, kept sorted by id: progress
-    /// and `work_done` float-accumulation visit tasks in id order on every
-    /// run (a `HashMap` here was hasher-order nondeterministic), and the
-    /// walk is over one contiguous array.
-    tasks: Vec<(TaskId, f64)>,
-    /// Index in `tasks` of the next task to finish (least remaining work,
-    /// ties to the lower id); `None` exactly when `tasks` is empty.
-    next: Option<usize>,
+    /// Remaining work units per task, non-increasing: the next task to
+    /// finish is in the tail block of values equal to the last one. Never
+    /// NaN or `-0.0` (work is asserted finite and positive, and a step
+    /// leaves at least `+0.0`), so `==` and `>=` agree with `total_cmp`.
+    rems: Vec<f64>,
+    /// The task of each entry in `rems`.
+    ids: Vec<TaskId>,
     last_update: SimTime,
     epoch: u64,
     /// Total work completed over the lifetime of the resource.
     work_done: f64,
     /// ∫ utilisation dt (seconds of full-capacity-equivalent use).
     busy_integral: f64,
-}
-
-/// True when task `a` finishes strictly before task `b`: less remaining
-/// work, ties to the lower id. Ids are unique, so this is a total order.
-///
-/// Remaining work is never NaN or `-0.0` (work is asserted finite and
-/// positive, and `rem - step.min(rem)` is at least `+0.0`), so on it `<`
-/// and `==` agree with `total_cmp`; a pass in id order can keep the next
-/// task with them alone.
-fn finishes_before(a: (TaskId, f64), b: (TaskId, f64)) -> bool {
-    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)).is_lt()
 }
 
 impl FluidResource {
@@ -97,8 +103,8 @@ impl FluidResource {
         FluidResource {
             capacity,
             per_task_cap,
-            tasks: Vec::new(),
-            next: None,
+            rems: Vec::new(),
+            ids: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
             work_done: 0.0,
@@ -113,12 +119,12 @@ impl FluidResource {
 
     /// Number of in-flight tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.rems.len()
     }
 
     /// True when no task is in flight.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.rems.is_empty()
     }
 
     /// Mutation epoch, for the completion-event invalidation protocol.
@@ -128,7 +134,7 @@ impl FluidResource {
 
     /// Current per-task service rate (work-units/second); zero when idle.
     pub fn rate_per_task(&self) -> f64 {
-        let n = self.tasks.len();
+        let n = self.rems.len();
         if n == 0 {
             0.0
         } else {
@@ -138,7 +144,7 @@ impl FluidResource {
 
     /// Instantaneous utilisation in [0, 1].
     pub fn utilization(&self) -> f64 {
-        (self.rate_per_task() * self.tasks.len() as f64 / self.capacity).min(1.0)
+        (self.rate_per_task() * self.rems.len() as f64 / self.capacity).min(1.0)
     }
 
     /// Total work completed so far (work-units).
@@ -151,47 +157,34 @@ impl FluidResource {
         self.busy_integral
     }
 
-    /// Move the clock to `now` and return the seconds elapsed, or `None`
-    /// when no task progresses (no time passed, or nothing in flight).
-    fn elapse(&mut self, now: SimTime) -> Option<f64> {
-        debug_assert!(now >= self.last_update, "fluid resource time went backwards");
-        let dt = now.saturating_since(self.last_update).as_secs_f64();
-        self.last_update = now;
-        (dt > 0.0 && self.rate_per_task() > 0.0).then_some(dt)
-    }
-
     /// Apply progress between `last_update` and `now` at the current rates.
     ///
     /// Idempotent for equal `now`. Panics in debug builds if time runs
     /// backwards.
     pub fn advance(&mut self, now: SimTime) {
-        // `next` is `Some` whenever a task is in flight to progress
-        let (Some(dt), Some(m)) = (self.elapse(now), self.next) else { return };
+        debug_assert!(now >= self.last_update, "fluid resource time went backwards");
+        let dt = now.saturating_since(self.last_update).as_secs_f64();
+        self.last_update = now;
+        let rate = self.rate_per_task();
+        if dt <= 0.0 || rate <= 0.0 {
+            return;
+        }
         let util = self.utilization();
-        let step = self.rate_per_task() * dt;
-        // One step for all keeps the order by remaining work
-        // (`rem - step.min(rem)` is monotone in `rem`), so task `m` stays a
-        // least one; only a lower id can draw level with it and take over.
-        let (head, tail) = self.tasks.split_at_mut(m);
-        let level = tail[0].1 - step.min(tail[0].1);
-        let mut next = m;
-        let mut done = 0.0;
-        for (i, (_, rem)) in head.iter_mut().enumerate() {
-            let used = step.min(*rem);
-            *rem -= used;
-            done += used;
-            if *rem == level && next == m {
-                next = i;
-            }
+        let step = rate * dt;
+        let k = self.rems.partition_point(|&r| r >= step);
+        let (head, tail) = self.rems.split_at_mut(k);
+        for r in head {
+            *r -= step;
         }
-        for (_, rem) in tail {
-            let used = step.min(*rem);
-            *rem -= used;
-            done += used;
+        // the clamped tasks finish their work: `rem - rem` is `+0.0`
+        let mut done = step * k as f64;
+        for r in tail {
+            done += *r;
+            *r = 0.0;
         }
-        self.next = Some(next);
         self.work_done += done;
         self.busy_integral += util * dt;
+        self.debug_check_order();
     }
 
     /// Add a task with `work` units. Advances to `now` first and bumps the
@@ -200,15 +193,13 @@ impl FluidResource {
     /// Panics if the id is already in flight or `work` is not finite/positive.
     pub fn add(&mut self, now: SimTime, id: TaskId, work: f64) {
         assert!(work.is_finite() && work > 0.0, "invalid work amount {work}");
+        assert!(!self.ids.contains(&id), "duplicate fluid task id {id}");
         self.advance(now);
-        let at = self.tasks.partition_point(|&(t, _)| t < id);
-        assert!(self.tasks.get(at).is_none_or(|&(t, _)| t != id), "duplicate fluid task id {id}");
-        self.tasks.insert(at, (id, work));
-        self.next = match self.next.map(|n| n + usize::from(n >= at)) {
-            Some(n) if finishes_before(self.tasks[n], (id, work)) => Some(n),
-            _ => Some(at),
-        };
+        let at = self.rems.partition_point(|&r| r >= work);
+        self.rems.insert(at, work);
+        self.ids.insert(at, id);
         self.epoch += 1;
+        self.debug_check_order();
     }
 
     /// Remove a task regardless of progress (e.g. a cancelled transfer).
@@ -216,13 +207,10 @@ impl FluidResource {
     pub fn cancel(&mut self, now: SimTime, id: TaskId) -> Option<f64> {
         self.advance(now);
         let i = self.slot(id)?;
-        let (_, rem) = self.tasks.remove(i);
-        self.next = match self.next {
-            Some(n) if n == i => self.scan_next(),
-            Some(n) => Some(n - usize::from(n > i)),
-            None => None,
-        };
+        self.ids.remove(i);
+        let rem = self.rems.remove(i);
         self.epoch += 1;
+        self.debug_check_order();
         Some(rem)
     }
 
@@ -230,13 +218,19 @@ impl FluidResource {
     ///
     /// All in-flight tasks share one rate, so the task with the least
     /// remaining work finishes first; ties broken by lowest id for
-    /// determinism. O(1): the mutations keep that task's index.
+    /// determinism. Reads only the tail block of tasks tied with the last.
     pub fn next_completion(&self, now: SimTime) -> Option<(TaskId, SimTime)> {
         let rate = self.rate_per_task();
         if rate <= 0.0 {
             return None;
         }
-        let (id, rem) = self.tasks[self.next?];
+        let mut i = self.rems.len().checked_sub(1)?;
+        let rem = self.rems[i];
+        let mut id = self.ids[i];
+        while i > 0 && self.rems[i - 1] == rem {
+            i -= 1;
+            id = id.min(self.ids[i]);
+        }
         let dt = (rem / rate).max(0.0);
         // Round the completion instant *up* (plus 1 ns of slack) so that
         // advancing to it always clears the task's remaining work; rounding
@@ -252,41 +246,16 @@ impl FluidResource {
     ///
     /// Call this from the completion-event handler after verifying the epoch;
     /// it bumps the epoch if anything finished. `done` comes out sorted by
-    /// id. Progress, reaping and the next-task bookkeeping share one pass,
-    /// with the floating-point operations of `advance` in the same order.
+    /// id. Finished tasks are the tail of `rems`, so the reap only pops.
     pub fn take_finished(&mut self, now: SimTime, done: &mut Vec<TaskId>) {
         done.clear();
-        let dt = self.elapse(now);
-        // utilisation and rate of the step are those before the reap
-        let util = self.utilization();
-        let step = dt.map(|dt| self.rate_per_task() * dt);
-        let mut work = 0.0;
-        let mut kept = 0;
-        let (mut next, mut next_rem) = (0, f64::INFINITY);
-        for i in 0..self.tasks.len() {
-            let (id, mut rem) = self.tasks[i];
-            if let Some(step) = step {
-                let used = step.min(rem);
-                rem -= used;
-                work += used;
-            }
-            if rem <= WORK_EPS {
-                done.push(id);
-                continue;
-            }
-            self.tasks[kept] = (id, rem);
-            // `finishes_before` as a strict `<` in id order, written as
-            // selects: a branch here mispredicts on unsorted work
-            let less = rem < next_rem;
-            next = if less { kept } else { next };
-            next_rem = if less { rem } else { next_rem };
-            kept += 1;
+        self.advance(now);
+        while self.rems.last().is_some_and(|&r| r <= WORK_EPS) {
+            self.rems.pop();
+            done.extend(self.ids.pop());
         }
-        self.tasks.truncate(kept);
-        self.next = (kept > 0).then_some(next);
-        if let Some(dt) = dt {
-            self.work_done += work;
-            self.busy_integral += util * dt;
+        if done.len() > 1 {
+            done.sort_unstable();
         }
         if !done.is_empty() {
             self.epoch += 1;
@@ -295,18 +264,22 @@ impl FluidResource {
 
     /// Remaining work of a task, if in flight (advances nothing).
     pub fn remaining(&self, id: TaskId) -> Option<f64> {
-        self.slot(id).map(|i| self.tasks[i].1)
+        self.slot(id).map(|i| self.rems[i])
     }
 
-    /// Index of task `id` in `tasks`, if in flight.
+    /// Index of task `id` in `ids` and `rems`, if in flight.
     fn slot(&self, id: TaskId) -> Option<usize> {
-        self.tasks.binary_search_by_key(&id, |&(t, _)| t).ok()
+        self.ids.iter().position(|&t| t == id)
     }
 
-    /// Index of the next task to finish, by a scan over every task.
-    fn scan_next(&self) -> Option<usize> {
-        let tasks = &self.tasks;
-        (0..tasks.len()).reduce(|n, i| if finishes_before(tasks[i], tasks[n]) { i } else { n })
+    /// Test builds check after each mutation that `rems` stays
+    /// non-increasing, the invariant every other method relies on.
+    fn debug_check_order(&self) {
+        debug_assert!(
+            self.rems.windows(2).all(|w| w[0] >= w[1]),
+            "fluid remaining work out of order: {:?}",
+            self.rems
+        );
     }
 }
 
@@ -424,11 +397,19 @@ mod tests {
 
     #[test]
     fn deterministic_tie_break_by_id() {
-        let mut r = FluidResource::new(10.0, f64::INFINITY);
-        r.add(t(0.0), 7, 5.0);
-        r.add(t(0.0), 3, 5.0);
-        let (id, _) = r.next_completion(t(0.0)).unwrap();
-        assert_eq!(id, 3);
+        for order in [[3, 7], [7, 3]] {
+            let mut r = FluidResource::new(10.0, f64::INFINITY);
+            r.add(t(0.0), 5, 9.0);
+            for id in order {
+                r.add(t(0.0), id, 4.0);
+            }
+            r.add(t(0.0), 1, 6.0);
+            assert_eq!(r.next_completion(t(0.0)).unwrap().0, 3, "insert order {order:?}");
+            // still tied after a step: the lower id stays next
+            r.advance(t(0.5));
+            assert_eq!(r.remaining(3), r.remaining(7));
+            assert_eq!(r.next_completion(t(0.5)).unwrap().0, 3, "insert order {order:?}");
+        }
     }
 
     #[test]
@@ -485,8 +466,38 @@ mod tests {
     }
 
     #[test]
+    fn cancel_from_the_middle_keeps_order_and_next() {
+        let mut r = FluidResource::new(40.0, f64::INFINITY);
+        for (id, work) in [(1, 40.0), (2, 30.0), (3, 20.0), (4, 10.0)] {
+            r.add(t(0.0), id, work);
+        }
+        assert_eq!(r.next_completion(t(0.0)).unwrap().0, 4);
+        // 10/s each for 0.5 s: task 2 has 25 left
+        assert_eq!(r.cancel(t(0.5), 2), Some(25.0));
+        assert_eq!(r.rems, [35.0, 15.0, 5.0]);
+        assert_eq!(r.ids, [1, 3, 4]);
+        // three tasks share 40/s: task 4's 5 left take 0.375 s
+        assert_eq!(r.next_completion(t(0.5)), Some((4, t(0.875) + SimDuration(1))));
+    }
+
+    #[test]
+    fn reaping_several_tasks_returns_them_by_id() {
+        let mut r = FluidResource::new(40.0, f64::INFINITY);
+        // finish order 6, 9, 4: the tail pops neither sorted nor reversed
+        for (id, work) in [(6, 1.0), (4, 2.0), (9, 1.5), (2, 50.0)] {
+            r.add(t(0.0), id, work);
+        }
+        let mut done = Vec::new();
+        r.take_finished(t(1.0), &mut done); // 10/s each clears all but task 2
+        assert_eq!(done, [4, 6, 9]);
+        assert_eq!(r.ids, [2]);
+        assert_eq!(r.remaining(2), Some(40.0));
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate")]
     fn duplicate_id_panics() {
+        // a release `assert!`, not a `debug_assert!`: this holds in every build
         let mut r = FluidResource::new(1.0, 1.0);
         r.add(t(0.0), 1, 1.0);
         r.add(t(0.0), 1, 1.0);

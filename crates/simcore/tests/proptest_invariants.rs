@@ -24,8 +24,8 @@ impl Model for OrderCheck {
 }
 
 /// The `BTreeMap`-backed `FluidResource` as it was before tasks moved to
-/// an id-sorted `Vec`, kept verbatim (minus the docs) as the bit-identity
-/// reference for `fluid_matches_btreemap_reference`.
+/// an id-sorted `Vec`, kept verbatim (minus the docs) as the reference for
+/// the two `fluid_matches_*` properties.
 struct RefFluid {
     capacity: f64,
     per_task_cap: f64,
@@ -127,66 +127,106 @@ impl RefFluid {
 /// Task ids the fluid bit-identity property draws from.
 const FLUID_IDS: u64 = 48;
 
+/// Task ids the web-sized fluid property draws from: enough for the 50–250
+/// tasks a web node CPU holds.
+const WEB_FLUID_IDS: u64 = 512;
+
+/// Replay `(op, id, work, gap_us)` steps on a `FluidResource` and on
+/// `RefFluid`, asserting after every step that they agree: same completion
+/// instants and ids, same remaining work per task, same `busy_seconds`
+/// bits, same epochs and lengths. `work_done` is grouped differently (one
+/// `step × k` per advance), so it must agree to 1e-12 relative. Op 0 adds,
+/// 1 cancels, 2 advances and 3 jumps to the next completion and reaps.
+fn replay_against_reference(capacity: f64, cap_frac: f64, ids: u64, ops: &[(u8, u64, f64, u64)]) {
+    let per_task = (capacity * cap_frac).max(0.001);
+    let mut got = FluidResource::new(capacity, per_task);
+    let mut want = RefFluid::new(capacity, per_task);
+    let mut now = SimTime::ZERO;
+    let mut done = Vec::new();
+    for &(op, id, work, gap_us) in ops {
+        now += SimDuration::from_micros(gap_us);
+        match op {
+            0 => {
+                if !want.tasks.contains_key(&id) {
+                    got.add(now, id, work);
+                    want.add(now, id, work);
+                }
+            }
+            1 => {
+                let (g, w) = (got.cancel(now, id), want.cancel(now, id));
+                prop_assert_eq!(g.map(f64::to_bits), w.map(f64::to_bits));
+            }
+            2 => {
+                got.advance(now);
+                want.advance(now);
+            }
+            _ => {
+                // jump to the next completion, as a model's handler does
+                let next = got.next_completion(now);
+                prop_assert_eq!(next, want.next_completion(now));
+                if let Some((_, at)) = next {
+                    now = at;
+                }
+                got.take_finished(now, &mut done);
+                prop_assert_eq!(&done, &want.take_finished(now));
+            }
+        }
+        prop_assert_eq!(got.len(), want.tasks.len());
+        prop_assert_eq!(got.epoch(), want.epoch);
+        prop_assert!(
+            (got.work_done() - want.work_done).abs() <= 1e-12 * want.work_done.abs().max(1.0),
+            "work_done {} vs reference {}",
+            got.work_done(),
+            want.work_done
+        );
+        prop_assert_eq!(got.busy_seconds().to_bits(), want.busy_integral.to_bits());
+        prop_assert_eq!(got.next_completion(now), want.next_completion(now));
+        for t in 0..ids {
+            prop_assert_eq!(
+                got.remaining(t).map(f64::to_bits),
+                want.tasks.get(&t).copied().map(f64::to_bits)
+            );
+        }
+    }
+}
+
 proptest! {
     // cheap cases (pure arithmetic): buy more of them than the default
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The id-sorted `Vec` FluidResource is bit-identical to the
-    /// `BTreeMap` one it replaced: same completion instants and ids, same
-    /// remaining work per task, same `work_done` and `busy_seconds` bits,
-    /// same epochs, under random add / cancel / advance / take_finished
-    /// sequences with out-of-order ids.
+    /// The FluidResource kept in remaining-work order agrees with the
+    /// `BTreeMap` one it descends from, under random add / cancel /
+    /// advance / take_finished sequences with out-of-order ids.
     #[test]
     fn fluid_matches_btreemap_reference(
         capacity in 1.0f64..1000.0,
         cap_frac in 0.05f64..1.0,
         ops in proptest::collection::vec((0u8..4, 0u64..FLUID_IDS, 0.5f64..400.0, 0u64..20_000), 1..300),
     ) {
-        let per_task = (capacity * cap_frac).max(0.001);
-        let mut got = FluidResource::new(capacity, per_task);
-        let mut want = RefFluid::new(capacity, per_task);
-        let mut now = SimTime::ZERO;
-        let mut done = Vec::new();
-        for &(op, id, work, gap_us) in &ops {
-            now = now + SimDuration::from_micros(gap_us);
-            match op {
-                0 => {
-                    if !want.tasks.contains_key(&id) {
-                        got.add(now, id, work);
-                        want.add(now, id, work);
-                    }
-                }
-                1 => {
-                    let (g, w) = (got.cancel(now, id), want.cancel(now, id));
-                    prop_assert_eq!(g.map(f64::to_bits), w.map(f64::to_bits));
-                }
-                2 => {
-                    got.advance(now);
-                    want.advance(now);
-                }
-                _ => {
-                    // jump to the next completion, as a model's handler does
-                    let next = got.next_completion(now);
-                    prop_assert_eq!(next, want.next_completion(now));
-                    if let Some((_, at)) = next {
-                        now = at;
-                    }
-                    got.take_finished(now, &mut done);
-                    prop_assert_eq!(&done, &want.take_finished(now));
-                }
-            }
-            prop_assert_eq!(got.len(), want.tasks.len());
-            prop_assert_eq!(got.epoch(), want.epoch);
-            prop_assert_eq!(got.work_done().to_bits(), want.work_done.to_bits());
-            prop_assert_eq!(got.busy_seconds().to_bits(), want.busy_integral.to_bits());
-            prop_assert_eq!(got.next_completion(now), want.next_completion(now));
-            for t in 0..FLUID_IDS {
-                prop_assert_eq!(
-                    got.remaining(t).map(f64::to_bits),
-                    want.tasks.get(&t).copied().map(f64::to_bits)
-                );
-            }
-        }
+        replay_against_reference(capacity, cap_frac, FLUID_IDS, &ops);
+    }
+}
+
+proptest! {
+    /// The same agreement at the task counts a web node CPU sees: runs of
+    /// the mixed ops above alternate with add-only runs, so up to a few
+    /// hundred tasks share the resource.
+    #[test]
+    fn fluid_matches_reference_at_web_task_counts(
+        capacity in 1.0f64..1000.0,
+        cap_frac in 0.05f64..1.0,
+        runs in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec(
+                (0u8..4, 0u64..WEB_FLUID_IDS, 0.5f64..400.0, 0u64..2_000), 1..80)),
+            1..12),
+    ) {
+        let ops: Vec<_> = runs
+            .iter()
+            .flat_map(|(add_only, run)| run.iter().map(move |&(op, id, work, gap)| {
+                (if *add_only { 0 } else { op }, id, work, gap)
+            }))
+            .collect();
+        replay_against_reference(capacity, cap_frac, WEB_FLUID_IDS, &ops);
     }
 }
 

@@ -525,6 +525,18 @@ pub struct WebWorld {
     /// Completion buffer the `NodeCpu`/`DbCpu` handlers lend to
     /// `take_finished_cpu`, so a CPU completion allocates nothing.
     pub(crate) cpu_finished: Vec<TaskId>,
+    /// Per-backend breaker verdicts `lb_pick_breakered` fills on each pick,
+    /// kept so a guarded pick allocates nothing.
+    pub(crate) lb_verdicts: Vec<LbVerdict>,
+}
+
+/// One backend's standing in a breaker-aware LB pick.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LbVerdict {
+    /// Alive, in rotation and admitted by its breaker.
+    allowed: bool,
+    /// Its breaker is half-open: a pick of it is a probe.
+    probing: bool,
 }
 
 /// Fraction of the per-request web CPU spent before the cache RPC (parse +
@@ -789,6 +801,7 @@ impl WebWorld {
             brownout,
             guard_track: None,
             cpu_finished: Vec::new(),
+            lb_verdicts: Vec::new(),
         }
     }
 
@@ -964,8 +977,8 @@ impl WebWorld {
     fn lb_pick_breakered(&mut self, conn_id: u64, now: SimTime) -> LbPick {
         let n_web = self.n_web();
         let probe_ok = probe_eligible(self.cfg.seed, conn_id, self.cfg.guard.probe_ratio);
-        let mut allowed = vec![false; n_web];
-        let mut probing = vec![false; n_web];
+        let mut verdicts = std::mem::take(&mut self.lb_verdicts);
+        verdicts.clear();
         let mut any_alive = false;
         for i in 0..n_web {
             let alive = !self.dead[i] && !self.lb_dead[i];
@@ -982,12 +995,12 @@ impl WebWorld {
                 BreakerVerdict::Probe => (probe_ok, true),
                 BreakerVerdict::Reject => (false, false),
             };
-            allowed[i] = alive && adm;
-            probing[i] = prb;
+            verdicts.push(LbVerdict { allowed: alive && adm, probing: prb });
         }
         let total_w: f64 =
-            (0..n_web).filter(|&i| allowed[i]).map(|i| self.lb_weights[i]).sum();
+            (0..n_web).filter(|&i| verdicts[i].allowed).map(|i| self.lb_weights[i]).sum();
         if total_w <= 0.0 {
+            self.lb_verdicts = verdicts;
             return if any_alive { LbPick::Blocked } else { LbPick::AllDead };
         }
         let target = (self.rr_web as f64 * 0.618_033_988_749_895).fract() * total_w;
@@ -995,7 +1008,7 @@ impl WebWorld {
         let mut web = 0;
         let mut acc = 0.0;
         for i in 0..n_web {
-            if !allowed[i] {
+            if !verdicts[i].allowed {
                 continue;
             }
             acc += self.lb_weights[i];
@@ -1004,7 +1017,8 @@ impl WebWorld {
                 break;
             }
         }
-        let probe = probing[web];
+        let probe = verdicts[web].probing;
+        self.lb_verdicts = verdicts;
         if probe {
             self.brk[web].begin_probe();
         }

@@ -1,13 +1,14 @@
 //! Allocation budget of the telemetry-off web hot path.
 //!
 //! The web model with telemetry off is meant to allocate nothing per
-//! event: fluid tasks live in an id-sorted `Vec`, CPU completions land in
-//! a buffer the world owns, network paths are inline, label sets are
-//! built only when a sink is on, and the engine reuses the scheduling
-//! buffer the web helpers write into. What is left is amortised growth
-//! (request/connection maps, delay samples). This test counts every
-//! allocation of one Edison Eighth httperf point after the world is built
-//! and holds it to at most one allocation per hundred engine events.
+//! event: fluid tasks live in `Vec`s kept in remaining-work order, CPU
+//! completions land in a buffer the world owns, network paths are
+//! inline, label sets are built only when a sink is on, and the engine
+//! reuses the scheduling buffer the web helpers write into. What is left
+//! is amortised growth (request/connection maps, delay samples). This
+//! test counts every allocation of one Edison Eighth httperf point after
+//! the world is built and holds it to at most one allocation per hundred
+//! engine events.
 //!
 //! It is the only test in this binary: the counting allocator is
 //! process-global, so a concurrent test would pollute the count.
